@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -21,6 +22,10 @@ REPORT_FIELDS = ("n", "w", "p", "analytic_rate", "numeric_rate",
 # Largest order for which sweep/rate commands attach the numeric
 # cross-check column (full eigensolve per row).
 NUMERIC_RATE_MAX_N = 512
+
+# Most points a --*-range or --*-grid argument may expand to; the count is
+# checked before the list is built.
+MAX_GRID_POINTS = 1_000_000
 
 # Reference values reproduced by the table2 target, keyed by n.  The rows
 # marked inconsistent disagree with the closed form by roughly an order of
@@ -97,6 +102,9 @@ def _parse_int_range(text: str) -> list[int]:
             f"expected A:B with integers, got {text!r}") from None
     if hi < lo:
         raise argparse.ArgumentTypeError(f"empty range {text!r}")
+    if hi - lo >= MAX_GRID_POINTS:
+        raise argparse.ArgumentTypeError(
+            f"range {text!r} has more than {MAX_GRID_POINTS} points")
     return list(range(lo, hi + 1))
 
 
@@ -108,8 +116,13 @@ def _parse_grid(text: str) -> list[float]:
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected A:B:STEP with numbers, got {text!r}") from None
+    if not all(math.isfinite(x) for x in parts):
+        raise argparse.ArgumentTypeError(f"non-finite grid bound in {text!r}")
     if step <= 0 or hi < lo:
         raise argparse.ArgumentTypeError(f"empty grid {text!r}")
+    if (hi - lo) / step >= MAX_GRID_POINTS:
+        raise argparse.ArgumentTypeError(
+            f"grid {text!r} has more than {MAX_GRID_POINTS} points")
     values = []
     k = 0
     while True:
@@ -162,22 +175,16 @@ def _resolve_probs(args, default: list[float] | None = None) -> list[float]:
 # --- row builders --------------------------------------------------------
 
 
-def _numeric_rate_weighted(n: int, w: float) -> float | None:
+def _numeric_rate(n: int, w: float) -> float | None:
     if n > NUMERIC_RATE_MAX_N:
         return None
     return oracle.spectral_gap_numeric(matrices.primitive_gossip_matrix(n, w))
 
 
-def _numeric_rate_failure(n: int, p: float) -> float | None:
-    if n > NUMERIC_RATE_MAX_N:
-        return None
-    return oracle.spectral_gap_numeric(matrices.expected_failure_matrix(n, p))
-
-
 def _weighted_row(n: int, w: float, empirical: float | None = None) -> ReportRow:
     r = rates.rate_weighted(n, w)
     return ReportRow(n=n, w=w, p=None, analytic_rate=r.rate,
-                     numeric_rate=_numeric_rate_weighted(n, w),
+                     numeric_rate=_numeric_rate(n, w),
                      empirical_rate=empirical,
                      lambda2_modulus=r.lambda2_modulus, regime=r.regime)
 
@@ -185,7 +192,7 @@ def _weighted_row(n: int, w: float, empirical: float | None = None) -> ReportRow
 def _failure_row(n: int, p: float, empirical: float | None = None) -> ReportRow:
     r = rates.rate_link_failure(n, p)
     return ReportRow(n=n, w=None, p=p, analytic_rate=r.rate,
-                     numeric_rate=_numeric_rate_failure(n, p),
+                     numeric_rate=_numeric_rate(n, (1.0 - p) / 2.0),
                      empirical_rate=empirical,
                      lambda2_modulus=r.lambda2_modulus, regime=r.regime)
 
@@ -238,9 +245,9 @@ def cmd_simulate(args) -> int:
     elif config.w == 0.5:
         row = _failure_row(config.n, config.p, empirical=mc.mean)
     else:
-        # No closed form covers weighted gossip with failures; report the
-        # numeric gap of the simulated process's expected matrix is not
-        # defined either, so only the empirical column is filled.
+        # Only the paper's two models (p = 0, or w = 1/2 with failures) get
+        # closed-form and numeric columns; other (w, p) pairs report the
+        # empirical rate alone.
         row = ReportRow(n=config.n, w=config.w, p=config.p,
                         analytic_rate=None, numeric_rate=None,
                         empirical_rate=mc.mean, lambda2_modulus=None,
@@ -258,43 +265,34 @@ def cmd_spectrum(args) -> int:
     if args.n is None:
         raise SystemExit("error: spectrum needs --n")
     n = args.n
+    if not 3 <= n <= oracle.MAX_SPECTRUM_ORDER:
+        raise SystemExit(f"error: spectrum needs 3 <= n <= "
+                         f"{oracle.MAX_SPECTRUM_ORDER}, got n={n}")
     if args.p is not None:
         if not 0.0 <= args.p <= 1.0:
             raise SystemExit(f"error: failure probability {args.p} outside [0, 1]")
-        kind, value = "p", args.p
-        params = pentadiag.link_failure_params(n, args.p)
-        matrix = matrices.expected_failure_matrix(n, args.p)
+        kind, value, w = "p", args.p, (1.0 - args.p) / 2.0
     else:
         w = args.w if args.w is not None else 0.5
         if not 0.0 < w < 1.0:
             raise SystemExit(f"error: gossip weight {w} outside (0, 1)")
         kind, value = "w", w
-        params = pentadiag.weighted_gossip_params(n, w)
-        matrix = matrices.primitive_gossip_matrix(n, w)
-    analytic = pentadiag.analytic_eigenvalues(params).eigenvalues
-    numeric = oracle.full_spectrum(matrix).eigenvalues.astype(complex)
+    analytic = pentadiag.analytic_eigenvalues(
+        pentadiag.weighted_gossip_params(n, w)).eigenvalues
+    numeric = oracle.full_spectrum(
+        matrices.primitive_gossip_matrix(n, w)).eigenvalues.astype(complex)
 
     order = np.lexsort((analytic.imag, analytic.real, -np.abs(analytic)))
     analytic = analytic[order]
-    dist = np.abs(analytic[:, None] - numeric[None, :])
-    taken = np.zeros(n, dtype=bool)
-    rows = []
-    pair_of = np.full(n, -1)
-    for flat in np.argsort(dist, axis=None):
-        i, j = divmod(int(flat), n)
-        if pair_of[i] >= 0 or taken[j]:
-            continue
-        pair_of[i] = j
-        taken[j] = True
-    for i in range(n):
-        j = int(pair_of[i])
-        rows.append({"n": n, "parameter_kind": kind, "parameter": value,
-                     "index": i + 1,
-                     "analytic_re": float(analytic[i].real),
-                     "analytic_im": float(analytic[i].imag),
-                     "numeric_re": float(numeric[j].real),
-                     "numeric_im": float(numeric[j].imag),
-                     "pair_distance": float(dist[i, j])})
+    numeric = numeric[oracle.spectrum_pairing(analytic, numeric)]
+    dist = np.abs(analytic - numeric)
+    rows = [{"n": n, "parameter_kind": kind, "parameter": value,
+             "index": i + 1,
+             "analytic_re": float(analytic[i].real),
+             "analytic_im": float(analytic[i].imag),
+             "numeric_re": float(numeric[i].real),
+             "numeric_im": float(numeric[i].imag),
+             "pair_distance": float(dist[i])} for i in range(n)]
     write_rows(rows, SPECTRUM_FIELDS, args.out, args.format)
     return 0
 
@@ -303,19 +301,16 @@ def cmd_spectrum(args) -> int:
 
 
 def _suite_spectra(n_max: int) -> float:
+    # The w-grid plus the link-failure weights (1-p)/2, each solved once.
+    weights = sorted(set(_parse_grid("0.05:0.95:0.05"))
+                     | {(1.0 - p) / 2.0 for p in _parse_grid("0:0.9:0.1")})
     worst = 0.0
     for n in range(3, n_max + 1):
-        for w in _parse_grid("0.05:0.95:0.05"):
+        for w in weights:
             ana = pentadiag.analytic_eigenvalues(
                 pentadiag.weighted_gossip_params(n, w)).eigenvalues
             num = oracle.full_spectrum(
                 matrices.primitive_gossip_matrix(n, w)).eigenvalues
-            worst = max(worst, oracle.spectrum_match_distance(ana, num))
-        for p in _parse_grid("0:0.9:0.1"):
-            ana = pentadiag.analytic_eigenvalues(
-                pentadiag.link_failure_params(n, p)).eigenvalues
-            num = oracle.full_spectrum(
-                matrices.expected_failure_matrix(n, p)).eigenvalues
             worst = max(worst, oracle.spectrum_match_distance(ana, num))
     return worst
 

@@ -3,9 +3,13 @@
 A period of the schedule activates two maximal matchings of the path: first
 every edge (2,3), (4,5), ... then every edge (1,2), (3,4), ....  The product
 of one period's pairwise averaging matrices is the primitive gossip matrix
-whose powers drive the consensus dynamics.  Three families are built here:
-plain averaging (w = 1/2), weighted averaging, and the per-period expected
-matrix under independent Bernoulli link failures.
+whose powers drive the consensus dynamics.
+
+One kernel, apply_period, applies a period to the rows of an array: the
+builders apply it to the identity and the simulator to the state.  The
+expected one-period matrix under independent Bernoulli link failures with
+probability p is not a family of its own: each edge's expected factor
+p*I + (1-p)*P_{1/2} is the weighted pair update at w = (1-p)/2.
 """
 from __future__ import annotations
 
@@ -84,12 +88,29 @@ def optimal_schedule(n: int) -> ScheduleSpec:
     return ScheduleSpec(e1=e1, e2=e2)
 
 
-def _round_matrix(n: int, pairs: tuple[GossipPair, ...], w: float) -> np.ndarray:
-    """Product of pairwise updates over one matching (disjoint, so order-free)."""
-    m = np.eye(n)
-    for pair in pairs:
-        m = pair_update_matrix(n, pair, w).entries @ m
-    return m
+def apply_period(x: np.ndarray, w) -> np.ndarray:
+    """Apply one gossip period to the rows of x in place and return x.
+
+    The e1 round (0-based edges i = 1, 3, ...) runs first, then the e2 round
+    (i = 0, 2, ...); edge i updates rows i and i+1 to
+    (1-w) x[i] + w x[i+1] and (1-w) x[i+1] + w x[i].  w is one weight for
+    every edge or an array of n-1 per-edge weights; a weight of 0 leaves its
+    pair unchanged.  Applied to np.eye(n) this builds the period matrix.
+    """
+    n = x.shape[0]
+    per_edge = isinstance(w, np.ndarray)
+    if per_edge:
+        w = w.reshape((n - 1, 1) + (1,) * (x.ndim - 1))
+    v = 1.0 - w
+    for q in (1, 0):
+        # Rows q, q+1, ... as m pairs; splitting the first axis is a view.
+        m = (n - q) // 2
+        pairs = x[q:q + 2 * m].reshape((m, 2) + x.shape[1:])
+        wq, vq = (w[q::2], v[q::2]) if per_edge else (w, v)
+        swapped = pairs[:, ::-1] * wq
+        pairs *= vq
+        pairs += swapped
+    return x
 
 
 def primitive_gossip_matrix(n: int, w: float) -> GossipMatrix:
@@ -103,34 +124,22 @@ def primitive_gossip_matrix(n: int, w: float) -> GossipMatrix:
         raise ValueError(f"primitive gossip matrix needs n >= 3, got n={n}")
     if not 0.0 <= w <= 1.0:
         raise ValueError(f"gossip weight must lie in [0, 1], got {w}")
-    sched = optimal_schedule(n)
-    entries = _round_matrix(n, sched.e2, w) @ _round_matrix(n, sched.e1, w)
     kind = "average" if w == 0.5 else "weighted"
-    return GossipMatrix(n=n, entries=entries, kind=kind, param=w)
+    return GossipMatrix(n=n, entries=apply_period(np.eye(n), w), kind=kind,
+                        param=w)
 
 
 def expected_failure_matrix(n: int, p: float) -> GossipMatrix:
     """Expected one-period matrix when each link independently fails.
 
-    Each pairwise average (at w = 1/2) is replaced by identity with
-    probability p, so the expected per-edge factor is p*I + (1-p)*P_pair.
-    The factors within a round commute (disjoint pairs), and independence
-    across edges makes the expectation of the round product the product of
-    the per-edge expectations.
+    Each pairwise average is replaced by identity with probability p, so the
+    expected per-edge factor is p*I + (1-p)*P_{1/2}, which is the pair
+    update at w = (1-p)/2.  Independence across edges makes the expectation
+    of the period product the product of the per-edge expectations.
     """
     if n < 3:
         raise ValueError(f"expected failure matrix needs n >= 3, got n={n}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"failure probability must lie in [0, 1], got {p}")
-    sched = optimal_schedule(n)
-    eye = np.eye(n)
-
-    def expected_round(pairs: tuple[GossipPair, ...]) -> np.ndarray:
-        m = np.eye(n)
-        for pair in pairs:
-            q = p * eye + (1.0 - p) * pair_update_matrix(n, pair, 0.5).entries
-            m = q @ m
-        return m
-
-    entries = expected_round(sched.e2) @ expected_round(sched.e1)
-    return GossipMatrix(n=n, entries=entries, kind="expected_failure", param=p)
+    return GossipMatrix(n=n, entries=apply_period(np.eye(n), (1.0 - p) / 2.0),
+                        kind="expected_failure", param=p)

@@ -55,10 +55,12 @@ def full_spectrum(a) -> OracleSpectrum:
             f"matrix order {n} exceeds the supported {MAX_SPECTRUM_ORDER}")
     try:
         eigenvalues, vectors = np.linalg.eig(m)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
+    except np.linalg.LinAlgError as exc:
+        import hashlib  # only on this path: keeps package import fast
+        digest = hashlib.sha256(m.tobytes()).hexdigest()[:16]
         raise RuntimeError(
             f"eigensolver failed to converge on the {n}x{n} matrix "
-            f"(fingerprint {hash(m.tobytes()) & 0xFFFFFFFF:08x})") from exc
+            f"(sha256 {digest})") from exc
     defect = m.astype(complex) @ vectors - vectors * eigenvalues
     scale = max(float(np.linalg.norm(m)), 1e-300)
     residual = float(np.linalg.norm(defect, axis=0).max() / scale)
@@ -112,31 +114,35 @@ def spectral_gap_numeric(a) -> float:
     return 1.0 - float(np.abs(rest).max())
 
 
-def spectrum_match_distance(eigs_a, eigs_b) -> float:
+def spectrum_pairing(eigs_a, eigs_b) -> np.ndarray:
     """Greedy minimal-distance pairing of two equal-size eigenvalue multisets.
 
-    Repeatedly matches the globally closest unmatched pair and returns the
-    largest matched distance -- a Hausdorff-style gap between the multisets.
+    Repeatedly matches the globally closest unmatched pair; returns, for each
+    entry of eigs_a, the index of its partner in eigs_b.
     """
     a = np.asarray(eigs_a, dtype=complex).ravel()
     b = np.asarray(eigs_b, dtype=complex).ravel()
     if a.size != b.size:
         raise ValueError(f"size mismatch: {a.size} vs {b.size}")
     n = a.size
-    if n == 0:
-        return 0.0
-    dist = np.abs(a[:, None] - b[None, :])
-    used_a = np.zeros(n, dtype=bool)
-    used_b = np.zeros(n, dtype=bool)
-    worst = 0.0
+    partner = np.full(n, -1)
+    taken = np.zeros(n, dtype=bool)
     matched = 0
-    for flat in np.argsort(dist, axis=None):
+    for flat in np.argsort(np.abs(a[:, None] - b[None, :]), axis=None):
         i, j = divmod(int(flat), n)
-        if used_a[i] or used_b[j]:
+        if partner[i] >= 0 or taken[j]:
             continue
-        used_a[i] = used_b[j] = True
-        worst = max(worst, float(dist[i, j]))
+        partner[i] = j
+        taken[j] = True
         matched += 1
         if matched == n:
             break
-    return worst
+    return partner
+
+
+def spectrum_match_distance(eigs_a, eigs_b) -> float:
+    """Largest distance in the greedy pairing of two eigenvalue multisets --
+    a Hausdorff-style gap between the multisets (see spectrum_pairing)."""
+    a = np.asarray(eigs_a, dtype=complex).ravel()
+    b = np.asarray(eigs_b, dtype=complex).ravel()
+    return float(np.abs(a - b[spectrum_pairing(a, b)]).max(initial=0.0))

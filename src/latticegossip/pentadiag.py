@@ -98,10 +98,11 @@ def weighted_gossip_params(n: int, w: float) -> PentaParams:
 
 
 def link_failure_params(n: int, p: float) -> PentaParams:
-    """Parameters whose realized matrix is expected_failure_matrix(n, p)."""
-    b = (1.0 - p * p) / 4.0
-    return PentaParams(alpha=-b, beta=-b, e=(p + 1.0) ** 2 / 4.0, b=b,
-                       c=(p - 1.0) ** 2 / 4.0, d=(1.0 - p) / 2.0, n=n)
+    """Parameters whose realized matrix is expected_failure_matrix(n, p).
+
+    Link failure at probability p is weighted gossip at w = (1-p)/2.
+    """
+    return weighted_gossip_params(n, (1.0 - p) / 2.0)
 
 
 def chebyshev_u(m: int, x: complex) -> complex:

@@ -10,14 +10,14 @@ quadratic eigenvalue pair at the cosine grid point nearest -1, which has
 
 when the radicand is nonnegative, and |lambda2| = |2w - 1| otherwise (the
 pair turns complex-conjugate and Vieta's product fixes the modulus).  The
-link-failure variant replaces the weighted matrix with the expected matrix
-under i.i.d. Bernoulli link failures at rate p, whose slow mode is always a
-real root.
+link-failure variant is the same formula: the expected matrix under i.i.d.
+Bernoulli link failures at rate p is weighted gossip at w = (1-p)/2, where
+the radicand is nonnegative, so its slow mode is always a real root.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 REAL_ROOTS = "real_roots"
 COMPLEX_PAIR = "complex_pair"
@@ -63,14 +63,11 @@ def rate_weighted(n: int, w: float) -> RateResult:
 def rate_link_failure(n: int, p: float) -> RateResult:
     """Rate from the expected per-period matrix under link failures.
 
-    Reduces to rate_weighted(n, 1/2) at p = 0 and to zero at p = 1 (all
-    links down, identity dynamics).  The slow mode is a real root for every
-    p, with the positive square-root branch: the radicand
-
-        (1-p)^4 s^4 / 4 + p (1-p)^2 s^2
-
-    is a sum of nonnegative terms, and only the + branch matches the
-    numerically computed spectrum (it must give lambda2 = s^2 at p = 0).
+    The expected matrix is weighted gossip at w = (1-p)/2, so this is
+    rate_weighted at that weight with parameter p.  It reduces to
+    rate_weighted(n, 1/2) at p = 0 and to zero at p = 1 (all links down,
+    identity dynamics), which is handled here because rate_weighted rejects
+    w = 0.
     """
     if n < 3:
         raise ValueError(f"need n >= 3, got n={n}")
@@ -79,11 +76,7 @@ def rate_link_failure(n: int, p: float) -> RateResult:
     if p == 1.0:
         return RateResult(n=n, parameter=p, lambda2_modulus=1.0, rate=0.0,
                           regime=REAL_ROOTS)
-    s2 = _edge_mode_sin(n) ** 2
-    q = (1.0 - p) ** 2 * s2
-    lam2 = p + q / 2.0 + math.sqrt(q * q / 4.0 + p * q)
-    return RateResult(n=n, parameter=p, lambda2_modulus=lam2,
-                      rate=1.0 - lam2, regime=REAL_ROOTS)
+    return replace(rate_weighted(n, (1.0 - p) / 2.0), parameter=p)
 
 
 def optimal_weight(n: int, grid: list[float]) -> tuple[float, RateResult]:

@@ -1,9 +1,11 @@
 """Discrete-time execution of periodic gossip on a path, with link failures.
 
 One period applies the (2,3), (4,5), ... matching first and the (1,2),
-(3,4), ... matching second, mirroring the product order used to build the
-primitive gossip matrix.  Link failures are drawn once per edge per period:
-a failed edge skips its pairwise update in that period entirely.
+(3,4), ... matching second, through the same kernel (matrices.apply_period)
+that builds the primitive gossip matrix.  Link failures are drawn once per
+edge per period: a failed edge gets weight 0 in that period, which skips its
+pairwise update entirely.  Averaged over the draws, each edge acts as the
+weighted update at (1-p) w; at w = 1/2 that is the expected-matrix model.
 
 Randomness comes from the counter-based Philox generator seeded through
 numpy's SeedSequence; independent trials derive their streams from the same
@@ -17,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .matrices import optimal_schedule
+from .matrices import apply_period
 
 RNG_ALGORITHM = "philox4x64 via numpy SeedSequence(entropy=seed, spawn_key=(trial,))"
 
@@ -91,27 +93,13 @@ def _empirical_rate(trace: list[float]) -> float | None:
 def _run(x: np.ndarray, w: float, p: float, max_periods: int,
          tolerance: float, rng: np.random.Generator) -> SimResult:
     n = x.size
-    sched = optimal_schedule(n)
-    rounds = [[(i - 1, j - 1) for (i, j) in matching]
-              for matching in (sched.e1, sched.e2)]
-    all_edges = sorted(rounds[0] + rounds[1])  # 0-based, ascending
-    edge_pos = {edge: k for k, edge in enumerate(all_edges)}
     trace: list[float] = []
     converged = False
     for _ in range(max_periods):
         if p > 0.0:
-            draws = rng.random(len(all_edges))
-            alive = draws >= p
+            apply_period(x, np.where(rng.random(n - 1) >= p, w, 0.0))
         else:
-            alive = None
-        for matching in rounds:
-            for edge in matching:
-                if alive is not None and not alive[edge_pos[edge]]:
-                    continue
-                i, j = edge
-                xi, xj = x[i], x[j]
-                x[i] = (1.0 - w) * xi + w * xj
-                x[j] = w * xi + (1.0 - w) * xj
+            apply_period(x, w)
         trace.append(float(x.max() - x.min()))
         if trace[-1] <= tolerance:
             converged = True
