@@ -10,7 +10,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,21 +35,6 @@ TABLE2_REFERENCE = {100: 0.009, 200: 0.0022, 300: 0.001, 400: 0.0006,
                     500: 0.1, 600: 0.002, 700: 0.002, 800: 0.001,
                     900: 0.001, 1000: 0.0001}
 TABLE2_INCONSISTENT = {500, 600, 700, 800, 900}
-
-
-@dataclass(frozen=True)
-class ReportRow:
-    n: int
-    w: float | None
-    p: float | None
-    analytic_rate: float | None
-    numeric_rate: float | None
-    empirical_rate: float | None
-    lambda2_modulus: float | None
-    regime: str | None
-
-    def as_dict(self) -> dict:
-        return {f: getattr(self, f) for f in REPORT_FIELDS}
 
 
 # --- formatting ----------------------------------------------------------
@@ -135,44 +119,31 @@ def _parse_grid(text: str) -> list[float]:
 
 
 def _resolve_ns(args) -> list[int]:
-    if getattr(args, "n_range", None):
+    if args.n_range:
         return args.n_range
-    if getattr(args, "n", None) is not None:
+    if args.n is not None:
         return [args.n]
     raise SystemExit("error: provide --n or --n-range")
 
 
-def _resolve_weights(args, default: list[float] | None = None) -> list[float]:
-    if getattr(args, "w_grid", None):
-        grid = args.w_grid
-    elif getattr(args, "w", None) is not None:
-        grid = [args.w]
-    elif default is not None:
-        grid = default
-    else:
-        raise SystemExit("error: provide --w or --w-grid")
-    for w in grid:
-        if not 0.0 < w < 1.0:
-            raise SystemExit(f"error: gossip weight {w} outside (0, 1)")
-    return grid
+def _resolve_grid(args, name: str, default: list[float]) -> list[float]:
+    """Values of --NAME or --NAME-grid (at most one is given), else default.
+
+    name is "w" (a gossip weight, checked to lie in (0, 1)) or "p" (a
+    failure probability, checked to lie in [0, 1]).
+    """
+    single = getattr(args, name)
+    grid = getattr(args, f"{name}_grid", None)
+    values = grid or ([single] if single is not None else default)
+    for v in values:
+        if name == "w" and not 0.0 < v < 1.0:
+            raise SystemExit(f"error: gossip weight {v} outside (0, 1)")
+        if name == "p" and not 0.0 <= v <= 1.0:
+            raise SystemExit(f"error: failure probability {v} outside [0, 1]")
+    return values
 
 
-def _resolve_probs(args, default: list[float] | None = None) -> list[float]:
-    if getattr(args, "p_grid", None):
-        grid = args.p_grid
-    elif getattr(args, "p", None) is not None:
-        grid = [args.p]
-    elif default is not None:
-        grid = default
-    else:
-        raise SystemExit("error: provide --p or --p-grid")
-    for p in grid:
-        if not 0.0 <= p <= 1.0:
-            raise SystemExit(f"error: failure probability {p} outside [0, 1]")
-    return grid
-
-
-# --- row builders --------------------------------------------------------
+# --- report rows -----------------------------------------------------------
 
 
 def _numeric_rate(n: int, w: float) -> float | None:
@@ -181,52 +152,53 @@ def _numeric_rate(n: int, w: float) -> float | None:
     return oracle.spectral_gap_numeric(matrices.primitive_gossip_matrix(n, w))
 
 
-def _weighted_row(n: int, w: float, empirical: float | None = None) -> ReportRow:
-    r = rates.rate_weighted(n, w)
-    return ReportRow(n=n, w=w, p=None, analytic_rate=r.rate,
-                     numeric_rate=_numeric_rate(n, w),
-                     empirical_rate=empirical,
-                     lambda2_modulus=r.lambda2_modulus, regime=r.regime)
+def _report_row(n: int, w: float | None = None, p: float | None = None,
+                empirical: float | None = None) -> dict:
+    """One REPORT_FIELDS row for weighted gossip at w (p None) or link
+    failure at p (w None), whose numeric column is taken at w = (1-p)/2.
+    With both set, no closed form applies and only the empirical rate is
+    reported."""
+    row = dict.fromkeys(REPORT_FIELDS)
+    row.update(n=n, w=w, p=p, empirical_rate=empirical)
+    if p is None:
+        r, w_numeric = rates.rate_weighted(n, w), w
+    elif w is None:
+        r, w_numeric = rates.rate_link_failure(n, p), (1.0 - p) / 2.0
+    else:
+        return row
+    row.update(analytic_rate=r.rate, numeric_rate=_numeric_rate(n, w_numeric),
+               lambda2_modulus=r.lambda2_modulus, regime=r.regime)
+    return row
 
 
-def _failure_row(n: int, p: float, empirical: float | None = None) -> ReportRow:
-    r = rates.rate_link_failure(n, p)
-    return ReportRow(n=n, w=None, p=p, analytic_rate=r.rate,
-                     numeric_rate=_numeric_rate(n, (1.0 - p) / 2.0),
-                     empirical_rate=empirical,
-                     lambda2_modulus=r.lambda2_modulus, regime=r.regime)
+def _write_report(args, ns: list[int], name: str, values: list[float]) -> int:
+    rows = [_report_row(n, **{name: v}) for n in ns for v in values]
+    write_rows(rows, REPORT_FIELDS, args.out, args.format)
+    return 0
 
 
 def cmd_rate(args) -> int:
-    ws = _resolve_weights(args, default=[0.5])
-    rows = [_weighted_row(n, w).as_dict() for n in _resolve_ns(args) for w in ws]
-    write_rows(rows, REPORT_FIELDS, args.out, args.format)
-    return 0
+    ws = _resolve_grid(args, "w", [0.5])
+    return _write_report(args, _resolve_ns(args), "w", ws)
 
 
 def cmd_sweep_weight(args) -> int:
     if args.n is None:
         raise SystemExit("error: sweep-weight needs --n")
-    ws = _resolve_weights(args, default=rates.default_weight_grid())
-    rows = [_weighted_row(args.n, w).as_dict() for w in ws]
-    write_rows(rows, REPORT_FIELDS, args.out, args.format)
-    return 0
+    ws = _resolve_grid(args, "w", rates.default_weight_grid())
+    return _write_report(args, [args.n], "w", ws)
 
 
 def cmd_sweep_n(args) -> int:
-    if not getattr(args, "n_range", None):
+    if not args.n_range:
         raise SystemExit("error: sweep-n needs --n-range")
-    ws = _resolve_weights(args, default=[0.5])
-    rows = [_weighted_row(n, w).as_dict() for n in args.n_range for w in ws]
-    write_rows(rows, REPORT_FIELDS, args.out, args.format)
-    return 0
+    ws = _resolve_grid(args, "w", [0.5])
+    return _write_report(args, args.n_range, "w", ws)
 
 
 def cmd_link_failure(args) -> int:
-    ps = _resolve_probs(args, default=_parse_grid("0:1:0.1"))
-    rows = [_failure_row(n, p).as_dict() for n in _resolve_ns(args) for p in ps]
-    write_rows(rows, REPORT_FIELDS, args.out, args.format)
-    return 0
+    ps = _resolve_grid(args, "p", _parse_grid("0:1:0.1"))
+    return _write_report(args, _resolve_ns(args), "p", ps)
 
 
 def cmd_simulate(args) -> int:
@@ -240,19 +212,13 @@ def cmd_simulate(args) -> int:
         mc = sim.monte_carlo_rate(config, args.trials)
     except RuntimeError as exc:
         raise SystemExit(f"error: {exc}") from None
-    if config.p == 0.0:
-        row = _weighted_row(config.n, config.w, empirical=mc.mean)
-    elif config.w == 0.5:
-        row = _failure_row(config.n, config.p, empirical=mc.mean)
-    else:
-        # Only the paper's two models (p = 0, or w = 1/2 with failures) get
-        # closed-form and numeric columns; other (w, p) pairs report the
-        # empirical rate alone.
-        row = ReportRow(n=config.n, w=config.w, p=config.p,
-                        analytic_rate=None, numeric_rate=None,
-                        empirical_rate=mc.mean, lambda2_modulus=None,
-                        regime=None)
-    write_rows([row.as_dict()], REPORT_FIELDS, args.out, args.format)
+    # Only the paper's two models (p = 0, or w = 1/2 with failures) get
+    # closed-form and numeric columns; other (w, p) pairs report the
+    # empirical rate alone.
+    p = config.p or None
+    w = None if p is not None and config.w == 0.5 else config.w
+    write_rows([_report_row(config.n, w, p, mc.mean)], REPORT_FIELDS,
+               args.out, args.format)
     return 0
 
 
@@ -268,15 +234,9 @@ def cmd_spectrum(args) -> int:
     if not 3 <= n <= oracle.MAX_SPECTRUM_ORDER:
         raise SystemExit(f"error: spectrum needs 3 <= n <= "
                          f"{oracle.MAX_SPECTRUM_ORDER}, got n={n}")
-    if args.p is not None:
-        if not 0.0 <= args.p <= 1.0:
-            raise SystemExit(f"error: failure probability {args.p} outside [0, 1]")
-        kind, value, w = "p", args.p, (1.0 - args.p) / 2.0
-    else:
-        w = args.w if args.w is not None else 0.5
-        if not 0.0 < w < 1.0:
-            raise SystemExit(f"error: gossip weight {w} outside (0, 1)")
-        kind, value = "w", w
+    kind = "w" if args.p is None else "p"
+    (value,) = _resolve_grid(args, kind, [0.5])
+    w = value if kind == "w" else (1.0 - value) / 2.0
     analytic = pentadiag.analytic_eigenvalues(
         pentadiag.weighted_gossip_params(n, w)).eigenvalues
     numeric = oracle.full_spectrum(
@@ -298,9 +258,10 @@ def cmd_spectrum(args) -> int:
 
 
 # --- verify suites -------------------------------------------------------
+# Every suite takes (n_max, seed) and returns its worst discrepancy.
 
 
-def _suite_spectra(n_max: int) -> float:
+def _suite_spectra(n_max: int, seed: int) -> float:
     # The w-grid plus the link-failure weights (1-p)/2, each solved once.
     weights = sorted(set(_parse_grid("0.05:0.95:0.05"))
                      | {(1.0 - p) / 2.0 for p in _parse_grid("0:0.9:0.1")})
@@ -340,7 +301,7 @@ def _suite_charpoly(n_max: int, seed: int) -> float:
     return worst
 
 
-def _suite_failure_matrix(n_max: int) -> float:
+def _suite_failure_matrix(n_max: int, seed: int) -> float:
     worst = 0.0
     for n in range(3, min(n_max, 10) + 1):
         for p in _parse_grid("0:1:0.1"):
@@ -380,10 +341,7 @@ def cmd_verify(args) -> int:
     failed = False
     for scope in scopes:
         suite, tol, label = VERIFY_SUITES[scope]
-        if scope in ("charpoly", "simulator"):
-            worst = suite(args.n_max, args.seed)
-        else:
-            worst = suite(args.n_max)
+        worst = suite(args.n_max, args.seed)
         ok = worst <= tol
         failed |= not ok
         print(f"{scope:<16} {label}: {worst:.3e} "
@@ -395,40 +353,30 @@ def cmd_verify(args) -> int:
 # --- reproduce targets ---------------------------------------------------
 
 
-def _rows_table1() -> tuple[tuple[str, ...], list[dict]]:
+def _rows_tuned(ns: list[int]) -> tuple[tuple[str, ...], list[dict]]:
     fields = ("n", "convergence_rate", "optimal_weight")
+    grid = rates.default_weight_grid()
     rows = []
-    for n in range(4, 21):
-        w_star, result = rates.optimal_weight(n, rates.default_weight_grid())
+    for n in ns:
+        w_star, result = rates.optimal_weight(n, grid)
         rows.append({"n": n, "convergence_rate": result.rate,
                      "optimal_weight": w_star})
     return fields, rows
 
 
 def _rows_table2() -> tuple[tuple[str, ...], list[dict]]:
-    fields = ("n", "convergence_rate", "optimal_weight", "reference_rate",
-              "reference_inconsistent")
-    rows = []
-    for n in sorted(TABLE2_REFERENCE):
-        w_star, result = rates.optimal_weight(n, rates.default_weight_grid())
-        rows.append({"n": n, "convergence_rate": result.rate,
-                     "optimal_weight": w_star,
-                     "reference_rate": TABLE2_REFERENCE[n],
-                     "reference_inconsistent": n in TABLE2_INCONSISTENT})
-    return fields, rows
+    fields, rows = _rows_tuned(sorted(TABLE2_REFERENCE))
+    for row in rows:
+        row.update(reference_rate=TABLE2_REFERENCE[row["n"]],
+                   reference_inconsistent=row["n"] in TABLE2_INCONSISTENT)
+    return fields + ("reference_rate", "reference_inconsistent"), rows
 
 
-def _rows_fig2() -> tuple[tuple[str, ...], list[dict]]:
-    fields = ("n", "w", "rate")
-    rows = [{"n": n, "w": 0.5, "rate": rates.rate_weighted(n, 0.5).rate}
-            for n in range(3, 101)]
-    return fields, rows
-
-
-def _rows_rate_vs_weight(ns: list[int]) -> tuple[tuple[str, ...], list[dict]]:
+def _rows_rate(ns: list[int],
+               ws: list[float]) -> tuple[tuple[str, ...], list[dict]]:
     fields = ("n", "w", "rate")
     rows = [{"n": n, "w": w, "rate": rates.rate_weighted(n, w).rate}
-            for n in ns for w in _parse_grid("0.05:0.95:0.05")]
+            for n in ns for w in ws]
     return fields, rows
 
 
@@ -446,11 +394,13 @@ def _rows_fig7() -> tuple[tuple[str, ...], list[dict]]:
 
 
 REPRODUCE_TARGETS = {
-    "table1": _rows_table1,
+    "table1": lambda: _rows_tuned(list(range(4, 21))),
     "table2": _rows_table2,
-    "fig2": _rows_fig2,
-    "fig3": lambda: _rows_rate_vs_weight([4, 8, 12, 16, 20]),
-    "fig4": lambda: _rows_rate_vs_weight(list(range(100, 1001, 100))),
+    "fig2": lambda: _rows_rate(list(range(3, 101)), [0.5]),
+    "fig3": lambda: _rows_rate([4, 8, 12, 16, 20],
+                               _parse_grid("0.05:0.95:0.05")),
+    "fig4": lambda: _rows_rate(list(range(100, 1001, 100)),
+                               _parse_grid("0.05:0.95:0.05")),
     "fig5": lambda: _rows_relative_error(list(range(4, 101))),
     "fig6": lambda: _rows_relative_error(list(range(100, 1001, 10))),
     "fig7": _rows_fig7,
@@ -458,12 +408,7 @@ REPRODUCE_TARGETS = {
 
 
 def cmd_reproduce(args) -> int:
-    target = REPRODUCE_TARGETS.get(args.target)
-    if target is None:
-        raise SystemExit(
-            f"error: unknown target {args.target!r}; choose from "
-            + ", ".join(sorted(REPRODUCE_TARGETS)))
-    fields, rows = target()
+    fields, rows = REPRODUCE_TARGETS[args.target]()
     write_rows(rows, fields, args.out, args.format)
     return 0
 
@@ -471,32 +416,49 @@ def cmd_reproduce(args) -> int:
 # --- entry point ----------------------------------------------------------
 
 
-def _add_common(parser: argparse.ArgumentParser, *, sim_flags: bool = False,
-                p_flags: bool = False, w_flags: bool = True) -> None:
-    parser.add_argument("--n", type=int, help="node count")
-    parser.add_argument("--n-range", type=_parse_int_range, metavar="A:B",
-                        help="inclusive node-count range")
-    if w_flags:
-        parser.add_argument("--w", type=float, help="gossip weight in (0,1)")
-        parser.add_argument("--w-grid", type=_parse_grid, metavar="A:B:STEP",
-                            help="inclusive gossip-weight grid")
-    if p_flags:
-        parser.add_argument("--p", type=float,
-                            help="link failure probability in [0,1]")
-        parser.add_argument("--p-grid", type=_parse_grid, metavar="A:B:STEP",
-                            help="inclusive failure-probability grid")
-    if sim_flags:
-        parser.add_argument("--seed", type=int, default=0,
-                            help="base RNG seed (default 0)")
-        parser.add_argument("--trials", type=int, default=1,
-                            help="Monte Carlo trials (default 1)")
-        parser.add_argument("--max-periods", type=int, default=200,
-                            help="period budget per run (default 200)")
-        parser.add_argument("--tolerance", type=float, default=1e-12,
-                            help="disagreement threshold (default 1e-12)")
-    parser.add_argument("--out", help="output path (default: stdout)")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv",
-                        help="output format (default csv)")
+# Every flag a command may declare.  A command lists only the flags it
+# reads, so argparse rejects the rest.
+_FLAGS = {
+    "--n": dict(type=int, help="node count"),
+    "--n-range": dict(type=_parse_int_range, metavar="A:B",
+                      help="inclusive node-count range"),
+    "--w": dict(type=float, help="gossip weight in (0,1)"),
+    "--w-grid": dict(type=_parse_grid, metavar="A:B:STEP",
+                     help="inclusive gossip-weight grid"),
+    "--p": dict(type=float, help="link failure probability in [0,1]"),
+    "--p-grid": dict(type=_parse_grid, metavar="A:B:STEP",
+                     help="inclusive failure-probability grid"),
+    "--seed": dict(type=int, default=0, help="base RNG seed (default 0)"),
+    "--trials": dict(type=int, default=1,
+                     help="Monte Carlo trials (default 1)"),
+    "--max-periods": dict(type=int, default=200,
+                          help="period budget per run (default 200)"),
+    "--tolerance": dict(type=float, default=1e-12,
+                        help="disagreement threshold (default 1e-12)"),
+    "--scope": dict(default="all", choices=(*VERIFY_SUITES, "all"),
+                    help="suite to run (default all)"),
+    "--n-max": dict(type=int, default=30,
+                    help="largest order checked (default 30)"),
+    "--target": dict(required=True, choices=tuple(sorted(REPRODUCE_TARGETS))),
+    "--out": dict(help="output path (default: stdout)"),
+    "--format": dict(choices=("csv", "json"), default="csv",
+                     help="output format (default csv)"),
+}
+
+
+def _command(sub, name: str, func, help: str, *flags) -> None:
+    """Add subcommand name with the given _FLAGS entries; a tuple of flags
+    becomes a mutually exclusive group.  Abbreviations are off, so an
+    undeclared flag cannot pass as the prefix of a declared one."""
+    parser = sub.add_parser(name, help=help, allow_abbrev=False)
+    parser.set_defaults(func=func)
+    for flag in flags:
+        if isinstance(flag, tuple):
+            group = parser.add_mutually_exclusive_group()
+            for f in flag:
+                group.add_argument(f, **_FLAGS[f])
+        else:
+            parser.add_argument(flag, **_FLAGS[flag])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -505,50 +467,27 @@ def build_parser() -> argparse.ArgumentParser:
         description="Periodic gossip on path networks: closed-form rates, "
                     "spectra, link-failure analysis, and simulation.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("rate", help="convergence rate for given n (and w)")
-    _add_common(p)
-    p.set_defaults(func=cmd_rate)
-
-    p = sub.add_parser("spectrum",
-                       help="analytic vs numeric eigenvalues for one matrix")
-    _add_common(p, p_flags=True)
-    p.set_defaults(func=cmd_spectrum)
-
-    p = sub.add_parser("sweep-weight", help="rate across a weight grid")
-    _add_common(p)
-    p.set_defaults(func=cmd_sweep_weight)
-
-    p = sub.add_parser("sweep-n", help="rate across a node-count range")
-    _add_common(p)
-    p.set_defaults(func=cmd_sweep_n)
-
-    p = sub.add_parser("link-failure",
-                       help="rate under Bernoulli link failures")
-    _add_common(p, p_flags=True, w_flags=False)
-    p.set_defaults(func=cmd_link_failure)
-
-    p = sub.add_parser("simulate", help="Monte Carlo empirical rate")
-    _add_common(p, sim_flags=True, p_flags=True)
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("verify",
-                       help="run the analytic-vs-oracle invariant suites")
-    p.add_argument("--scope", default="all",
-                   choices=("spectra", "charpoly", "failure-matrix",
-                            "simulator", "all"))
-    p.add_argument("--n-max", type=int, default=30)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("reproduce",
-                       help="regenerate reference table/figure data")
-    p.add_argument("--target", required=True,
-                   choices=tuple(sorted(REPRODUCE_TARGETS)))
-    p.add_argument("--out", help="output path (default: stdout)")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.set_defaults(func=cmd_reproduce)
-
+    out = ("--out", "--format")
+    _command(sub, "rate", cmd_rate, "convergence rate for given n (and w)",
+             ("--n", "--n-range"), ("--w", "--w-grid"), *out)
+    _command(sub, "spectrum", cmd_spectrum,
+             "analytic vs numeric eigenvalues for one matrix",
+             "--n", ("--w", "--p"), *out)
+    _command(sub, "sweep-weight", cmd_sweep_weight,
+             "rate across a weight grid", "--n", ("--w", "--w-grid"), *out)
+    _command(sub, "sweep-n", cmd_sweep_n, "rate across a node-count range",
+             "--n-range", ("--w", "--w-grid"), *out)
+    _command(sub, "link-failure", cmd_link_failure,
+             "rate under Bernoulli link failures",
+             ("--n", "--n-range"), ("--p", "--p-grid"), *out)
+    _command(sub, "simulate", cmd_simulate, "Monte Carlo empirical rate",
+             "--n", "--w", "--p", "--seed", "--trials", "--max-periods",
+             "--tolerance", *out)
+    _command(sub, "verify", cmd_verify,
+             "run the analytic-vs-oracle invariant suites",
+             "--scope", "--n-max", "--seed")
+    _command(sub, "reproduce", cmd_reproduce,
+             "regenerate reference table/figure data", "--target", *out)
     return parser
 
 

@@ -28,25 +28,18 @@ class GossipPair(NamedTuple):
 
 @dataclass(frozen=True)
 class ScheduleSpec:
-    """The two disjoint matchings making up one period (period = 2 rounds)."""
+    """The two disjoint matchings making up one period (two rounds)."""
 
     e1: tuple[GossipPair, ...]
     e2: tuple[GossipPair, ...]
-    period: int = 2
 
 
 @dataclass(frozen=True, eq=False)
 class GossipMatrix:
-    """Dense doubly stochastic update matrix with a provenance tag.
-
-    kind is one of "average", "weighted", "expected_failure"; param holds
-    the gossip weight w (first two kinds) or the failure probability p.
-    """
+    """Dense doubly stochastic update matrix."""
 
     n: int
     entries: np.ndarray
-    kind: str
-    param: float
 
 
 def _check_pair(n: int, pair: GossipPair) -> None:
@@ -70,8 +63,7 @@ def pair_update_matrix(n: int, pair: GossipPair, w: float) -> GossipMatrix:
     i, j = pair[0] - 1, pair[1] - 1
     m[i, i] = m[j, j] = 1.0 - w
     m[i, j] = m[j, i] = w
-    kind = "average" if w == 0.5 else "weighted"
-    return GossipMatrix(n=n, entries=m, kind=kind, param=w)
+    return GossipMatrix(n=n, entries=m)
 
 
 def optimal_schedule(n: int) -> ScheduleSpec:
@@ -124,9 +116,7 @@ def primitive_gossip_matrix(n: int, w: float) -> GossipMatrix:
         raise ValueError(f"primitive gossip matrix needs n >= 3, got n={n}")
     if not 0.0 <= w <= 1.0:
         raise ValueError(f"gossip weight must lie in [0, 1], got {w}")
-    kind = "average" if w == 0.5 else "weighted"
-    return GossipMatrix(n=n, entries=apply_period(np.eye(n), w), kind=kind,
-                        param=w)
+    return GossipMatrix(n=n, entries=apply_period(np.eye(n), w))
 
 
 def expected_failure_matrix(n: int, p: float) -> GossipMatrix:
@@ -141,5 +131,4 @@ def expected_failure_matrix(n: int, p: float) -> GossipMatrix:
         raise ValueError(f"expected failure matrix needs n >= 3, got n={n}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"failure probability must lie in [0, 1], got {p}")
-    return GossipMatrix(n=n, entries=apply_period(np.eye(n), (1.0 - p) / 2.0),
-                        kind="expected_failure", param=p)
+    return GossipMatrix(n=n, entries=apply_period(np.eye(n), (1.0 - p) / 2.0))

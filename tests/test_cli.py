@@ -123,14 +123,27 @@ def test_link_failure_default_grid(capsys):
         rate_link_failure(6, float(mid["p"])).rate, abs=1e-9)
 
 
-def test_simulate_without_closed_form_reports_empirical_only(capsys):
-    code, out = run_cli(capsys, "simulate", "--n", "5", "--w", "0.7",
-                        "--p", "0.2", "--seed", "3", "--trials", "2")
+@pytest.mark.parametrize("w, p, expected", [
+    ("0.7", "0.2", None),
+    ("0.7", "0", rate_weighted(5, 0.7).rate),
+    ("0.5", "0.3", rate_link_failure(5, 0.3).rate),
+], ids=["empirical-only", "weighted", "link-failure"])
+def test_simulate_row_columns_follow_the_model(capsys, w, p, expected):
+    code, out = run_cli(capsys, "simulate", "--n", "5", "--w", w,
+                        "--p", p, "--seed", "3", "--trials", "2")
     assert code == 0
     record = parse_csv(out)[0]
-    assert record["analytic_rate"] == ""
-    assert record["numeric_rate"] == ""
     assert record["empirical_rate"] != ""
+    if expected is None:
+        # No closed form for this (w, p): the empirical rate alone.
+        assert record["analytic_rate"] == ""
+        assert record["numeric_rate"] == ""
+        return
+    # p = 0 reports weighted gossip at w; w = 1/2 with failures reports
+    # link failure at p, with the other parameter left empty.
+    assert record["p" if p == "0" else "w"] == ""
+    assert float(record["analytic_rate"]) == pytest.approx(expected, abs=1e-9)
+    assert float(record["numeric_rate"]) == pytest.approx(expected, abs=1e-7)
 
 
 def test_spectrum_rows_pair_within_tolerance(capsys):
@@ -242,6 +255,25 @@ def test_weight_outside_open_interval_fails():
 def test_rate_requires_some_n():
     with pytest.raises(SystemExit):
         main(["rate", "--w", "0.5"])
+
+
+@pytest.mark.parametrize("argv", [
+    "simulate --n 8 --w-grid 0.1:0.3:0.1",
+    "simulate --n 8 --p-grid 0:0.2:0.1",
+    "spectrum --n 5 --w-grid 0.1:0.3:0.1",
+    "spectrum --n-range 3:5",
+    "spectrum --n 5 --w 0.3 --p 0.2",
+    "sweep-weight --n 8 --n-range 3:5",
+    "rate --n 8 --n-range 3:5",
+    "rate --n 8 --w 0.3 --w-grid 0.1:0.3:0.1",
+    "verify --n 4 --scope failure-matrix",
+], ids=["simulate-w-grid", "simulate-p-grid", "spectrum-w-grid",
+        "spectrum-n-range", "spectrum-w-and-p", "sweep-weight-n-range",
+        "rate-n-and-n-range", "rate-w-and-w-grid", "verify-n-prefix"])
+def test_flag_the_command_does_not_read_is_a_usage_error(argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv.split())
+    assert info.value.code == 2
 
 
 # --- module entry point ----------------------------------------------------------------------

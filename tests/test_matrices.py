@@ -34,7 +34,6 @@ from latticegossip.pentadiag import (link_failure_params, penta_matrix,
 def test_pair_update_plain_average_two_nodes():
     m = pair_update_matrix(2, GossipPair(1, 2), 0.5)
     assert np.array_equal(m.entries, [[0.5, 0.5], [0.5, 0.5]])
-    assert m.kind == "average"
 
 
 def test_pair_update_w_one_is_a_swap():
@@ -67,7 +66,6 @@ def test_schedule_even():
     s = optimal_schedule(4)
     assert s.e1 == (GossipPair(2, 3),)
     assert s.e2 == (GossipPair(1, 2), GossipPair(3, 4))
-    assert s.period == 2
 
 
 def test_schedule_two_nodes():
@@ -128,12 +126,6 @@ def test_primitive_top_corner_is_one_minus_w(w):
 def test_primitive_rejects_small_n():
     with pytest.raises(ValueError):
         primitive_gossip_matrix(2, 0.5)
-
-
-def test_kind_tags():
-    assert primitive_gossip_matrix(5, 0.5).kind == "average"
-    assert primitive_gossip_matrix(5, 0.7).kind == "weighted"
-    assert expected_failure_matrix(5, 0.2).kind == "expected_failure"
 
 
 # --- family-wide structural invariants --------------------------------------
