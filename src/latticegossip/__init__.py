@@ -8,7 +8,7 @@ independent numeric oracles, and a discrete-time simulator.
 from .matrices import (GossipMatrix, GossipPair, ScheduleSpec,
                        expected_failure_matrix, optimal_schedule,
                        pair_update_matrix, primitive_gossip_matrix)
-from .oracle import (OracleSpectrum, determinant_shifted,
+from .oracle import (OracleSpectrum, determinant_shifted, eigenvalues,
                      enumerate_failure_expectation, full_spectrum,
                      spectral_gap_numeric, spectrum_match_distance)
 from .pentadiag import (PentaParams, Spectrum, analytic_eigenvalues,
@@ -25,8 +25,9 @@ __version__ = "0.1.0"
 __all__ = [
     "GossipMatrix", "GossipPair", "ScheduleSpec", "expected_failure_matrix",
     "optimal_schedule", "pair_update_matrix", "primitive_gossip_matrix",
-    "OracleSpectrum", "determinant_shifted", "enumerate_failure_expectation",
-    "full_spectrum", "spectral_gap_numeric", "spectrum_match_distance",
+    "OracleSpectrum", "determinant_shifted", "eigenvalues",
+    "enumerate_failure_expectation", "full_spectrum", "spectral_gap_numeric",
+    "spectrum_match_distance",
     "PentaParams", "Spectrum", "analytic_eigenvalues", "charpoly_bb",
     "charpoly_bb_bd", "charpoly_bd_bd", "chebyshev_u", "link_failure_params",
     "penta_matrix", "second_largest_modulus", "weighted_gossip_params",

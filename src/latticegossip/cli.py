@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -19,7 +20,7 @@ REPORT_FIELDS = ("n", "w", "p", "analytic_rate", "numeric_rate",
                  "empirical_rate", "lambda2_modulus", "regime")
 
 # Largest order for which sweep/rate commands attach the numeric
-# cross-check column (full eigensolve per row).
+# cross-check column (one eigenvalues-only solve per row).
 NUMERIC_RATE_MAX_N = 512
 
 # Most points a --*-range or --*-grid argument may expand to; the count is
@@ -69,9 +70,13 @@ def write_rows(rows: list[dict], fields: tuple[str, ...], out: str | None,
         raise ValueError(f"unknown format {fmt!r}")
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        message = f"error: cannot write {out}: {exc.strerror or exc}"
+        raise SystemExit(message) from None
 
 
 # --- argument parsing ----------------------------------------------------
@@ -172,6 +177,8 @@ def _report_row(n: int, w: float | None = None, p: float | None = None,
 
 
 def _write_report(args, ns: list[int], name: str, values: list[float]) -> int:
+    if min(ns) < 3:
+        raise SystemExit(f"error: need n >= 3, got n={min(ns)}")
     rows = [_report_row(n, **{name: v}) for n in ns for v in values]
     write_rows(rows, REPORT_FIELDS, args.out, args.format)
     return 0
@@ -204,19 +211,21 @@ def cmd_link_failure(args) -> int:
 def cmd_simulate(args) -> int:
     if args.n is None:
         raise SystemExit("error: simulate needs --n")
-    config = sim.SimConfig(n=args.n, w=args.w if args.w is not None else 0.5,
-                           p=args.p if args.p is not None else 0.0,
-                           seed=args.seed, max_periods=args.max_periods,
-                           tolerance=args.tolerance)
-    try:
-        mc = sim.monte_carlo_rate(config, args.trials)
-    except RuntimeError as exc:
-        raise SystemExit(f"error: {exc}") from None
     # Only the paper's two models (p = 0, or w = 1/2 with failures) get
-    # closed-form and numeric columns; other (w, p) pairs report the
-    # empirical rate alone.
-    p = config.p or None
-    w = None if p is not None and config.w == 0.5 else config.w
+    # closed-form and numeric columns, which need n >= 3; other (w, p)
+    # pairs report the empirical rate alone.
+    try:
+        config = sim.SimConfig(
+            n=args.n, w=args.w if args.w is not None else 0.5,
+            p=args.p if args.p is not None else 0.0, seed=args.seed,
+            max_periods=args.max_periods, tolerance=args.tolerance)
+        p = config.p or None
+        w = None if p is not None and config.w == 0.5 else config.w
+        if (w is None or p is None) and config.n < 3:
+            raise ValueError(f"need n >= 3, got n={config.n}")
+        mc = sim.monte_carlo_rate(config, args.trials)
+    except (ValueError, RuntimeError) as exc:
+        raise SystemExit(f"error: {exc}") from None
     write_rows([_report_row(config.n, w, p, mc.mean)], REPORT_FIELDS,
                args.out, args.format)
     return 0
@@ -239,8 +248,8 @@ def cmd_spectrum(args) -> int:
     w = value if kind == "w" else (1.0 - value) / 2.0
     analytic = pentadiag.analytic_eigenvalues(
         pentadiag.weighted_gossip_params(n, w)).eigenvalues
-    numeric = oracle.full_spectrum(
-        matrices.primitive_gossip_matrix(n, w)).eigenvalues.astype(complex)
+    numeric = oracle.eigenvalues(
+        matrices.primitive_gossip_matrix(n, w)).astype(complex)
 
     order = np.lexsort((analytic.imag, analytic.real, -np.abs(analytic)))
     analytic = analytic[order]
@@ -493,6 +502,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    out = getattr(args, "out", None)
+    if out is not None and not os.path.isdir(os.path.dirname(out) or "."):
+        raise SystemExit(f"error: --out directory {os.path.dirname(out)!r} "
+                         f"does not exist")
     return args.func(args)
 
 

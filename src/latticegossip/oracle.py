@@ -6,6 +6,12 @@ from the standard Hessenberg-plus-QR dense eigensolver, and the link-failure
 expectation is an exhaustive sum over all 2^(n-1) failure patterns.
 Agreement between these engines and the analytic expressions is therefore
 evidence, not tautology.
+
+The solver comes in two strengths.  eigenvalues() solves for the eigenvalues
+alone; the report path (spectral_gap_numeric, the CLI's numeric columns)
+reads nothing else.  full_spectrum() also solves for the eigenvectors and
+returns the eigenpair residual with the eigenvalues.  Both share one order
+limit and one failure fingerprint.
 """
 from __future__ import annotations
 
@@ -40,6 +46,34 @@ def determinant_shifted(a, lam: complex) -> complex:
     return complex(np.linalg.det(shifted))
 
 
+def _solve(a, solver):
+    """(m, solver(m)) for a as a square float array m, within the order
+    limit; a convergence failure names the matrix by a sha256 prefix."""
+    m = _as_square_array(a)
+    n = m.shape[0]
+    if n > MAX_SPECTRUM_ORDER:
+        raise ValueError(
+            f"matrix order {n} exceeds the supported {MAX_SPECTRUM_ORDER}")
+    try:
+        return m, solver(m)
+    except np.linalg.LinAlgError as exc:
+        import hashlib  # only on this path: keeps package import fast
+        digest = hashlib.sha256(m.tobytes()).hexdigest()[:16]
+        raise RuntimeError(
+            f"eigensolver failed to converge on the {n}x{n} matrix "
+            f"(sha256 {digest})") from exc
+
+
+def eigenvalues(a) -> np.ndarray:
+    """All eigenvalues of a real square matrix, without eigenvectors.
+
+    The same Hessenberg-plus-QR solve as full_spectrum, run for the
+    eigenvalues only: complex eigenvalues of a real input come out in exact
+    conjugate pairs, and no residual is computed.
+    """
+    return _solve(a, np.linalg.eigvals)[1]
+
+
 def full_spectrum(a) -> OracleSpectrum:
     """All eigenvalues of a real square matrix.
 
@@ -48,31 +82,21 @@ def full_spectrum(a) -> OracleSpectrum:
     exact conjugate pairs.  The residual reported is the largest relative
     eigenpair defect max_i |A v_i - lam_i v_i| / ||A||_F.
     """
-    m = _as_square_array(a)
-    n = m.shape[0]
-    if n > MAX_SPECTRUM_ORDER:
-        raise ValueError(
-            f"matrix order {n} exceeds the supported {MAX_SPECTRUM_ORDER}")
-    try:
-        eigenvalues, vectors = np.linalg.eig(m)
-    except np.linalg.LinAlgError as exc:
-        import hashlib  # only on this path: keeps package import fast
-        digest = hashlib.sha256(m.tobytes()).hexdigest()[:16]
-        raise RuntimeError(
-            f"eigensolver failed to converge on the {n}x{n} matrix "
-            f"(sha256 {digest})") from exc
-    defect = m.astype(complex) @ vectors - vectors * eigenvalues
+    m, (values, vectors) = _solve(a, np.linalg.eig)
+    defect = m.astype(complex) @ vectors - vectors * values
     scale = max(float(np.linalg.norm(m)), 1e-300)
     residual = float(np.linalg.norm(defect, axis=0).max() / scale)
-    return OracleSpectrum(eigenvalues=eigenvalues, residual=residual)
+    return OracleSpectrum(eigenvalues=values, residual=residual)
 
 
 def enumerate_failure_expectation(n: int, p: float) -> np.ndarray:
     """Exact expectation of the one-period matrix by exhaustive enumeration.
 
     Sums Pr(F) * (period product with the edges in F skipped) over every
-    subset F of the n-1 path edges.  Exponential in n, hence the small-n
-    guard; this is the brute-force check for expected_failure_matrix.
+    subset F of the n-1 path edges, in mask order, with the products of all
+    patterns built as one (patterns, n, n) stack.  Exponential in n, hence
+    the small-n guard; this is the brute-force check for
+    expected_failure_matrix.
     """
     if n > 12:
         raise ValueError(f"exhaustive enumeration supports n <= 12, got n={n}")
@@ -80,21 +104,25 @@ def enumerate_failure_expectation(n: int, p: float) -> np.ndarray:
         raise ValueError(f"need n >= 3, got n={n}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"failure probability must lie in [0, 1], got {p}")
+    # Mask bit e set means path edge (e+1, e+2) failed.  Pr(mask) uses
+    # Python float powers: numpy's power rounds some of them differently.
+    failed = [bin(mask).count("1") for mask in range(1 << (n - 1))]
+    weights = np.array([p ** f * (1.0 - p) ** (n - 1 - f) for f in failed])
+    masks = np.flatnonzero(weights)
+    weights = weights[masks]
+    # Every kept pattern's period product at once: each pair update, in
+    # schedule order, multiplies the patterns whose edge is up.  The pair
+    # matrix is an explicit stack, not a broadcast operand, so each product
+    # is a plain (n, n) @ (n, n) matmul as in a per-pattern loop.
+    periods = np.repeat(np.eye(n)[None], masks.size, axis=0)
     sched = optimal_schedule(n)
-    edges = [(i, i + 1) for i in range(1, n)]
-    pair_mats = {pair: pair_update_matrix(n, pair, 0.5).entries
-                 for pair in sched.e1 + sched.e2}
+    for pair in sched.e1 + sched.e2:
+        up = np.flatnonzero((masks >> (pair.i - 1) & 1) == 0)
+        pair_stack = np.repeat(pair_update_matrix(n, pair, 0.5).entries[None],
+                               up.size, axis=0)
+        periods[up] = pair_stack @ periods[up]
     total = np.zeros((n, n))
-    for mask in range(1 << (n - 1)):
-        failed = {edges[k] for k in range(n - 1) if mask >> k & 1}
-        weight = p ** len(failed) * (1.0 - p) ** (n - 1 - len(failed))
-        if weight == 0.0:
-            continue
-        period = np.eye(n)
-        for matching in (sched.e1, sched.e2):
-            for pair in matching:
-                if tuple(pair) not in failed:
-                    period = pair_mats[pair] @ period
+    for weight, period in zip(weights, periods):
         total += weight * period
     return total
 
@@ -106,7 +134,7 @@ def spectral_gap_numeric(a) -> float:
     if np.abs(m @ ones - ones).max() > 1e-9 or \
             np.abs(m.T @ ones - ones).max() > 1e-9:
         raise ValueError("matrix is not doubly stochastic")
-    eigs = full_spectrum(m).eigenvalues
+    eigs = eigenvalues(m)
     idx = int(np.argmin(np.abs(eigs - 1.0)))
     rest = np.delete(eigs, idx)
     if rest.size == 0:

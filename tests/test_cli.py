@@ -8,6 +8,11 @@ Proves:
      series have the right shapes and anchor values.
   3. verify runs its suites and reports PASS with exit code 0 on the
      shipped implementation, and argument validation fails loudly.
+  4. The report commands and spectrum read eigenvalues only: they run with
+     the eigenpair solver disabled.
+  5. Bad sizes, bad simulator settings and an --out path that cannot be
+     written end in an error: line before any row is computed, never in a
+     traceback.
 """
 import csv
 import io
@@ -15,8 +20,10 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from latticegossip import cli
 from latticegossip.cli import REPORT_FIELDS, SPECTRUM_FIELDS, main
 from latticegossip.rates import rate_link_failure, rate_weighted, relative_error
 
@@ -274,6 +281,77 @@ def test_flag_the_command_does_not_read_is_a_usage_error(argv):
     with pytest.raises(SystemExit) as info:
         main(argv.split())
     assert info.value.code == 2
+
+
+# --- eigenvalues-only report path ------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv", [
+    "rate --n 64 --w 0.3",
+    "link-failure --n 64 --p 0.2",
+    "spectrum --n 64 --w 0.3",
+])
+def test_report_path_never_solves_for_eigenvectors(monkeypatch, capsys, argv):
+    def no_eigenvectors(*args, **kwargs):
+        raise AssertionError("np.linalg.eig called on the report path")
+
+    monkeypatch.setattr(np.linalg, "eig", no_eigenvectors)
+    code, out = run_cli(capsys, *argv.split())
+    assert code == 0
+    assert len(parse_csv(out)) == (64 if argv.startswith("spectrum") else 1)
+
+
+# --- errors before work ----------------------------------------------------------------------
+
+
+def error_exit(argv):
+    """The SystemExit message of a failing command.  A string message is
+    printed to stderr with exit status 1; any other exception would escape
+    here as a traceback."""
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    return info.value.code
+
+
+@pytest.mark.parametrize("argv", [
+    "rate --n 2",
+    "sweep-weight --n 2",
+    "sweep-n --n-range 1:3",
+    "link-failure --n 2 --p 0.2",
+    "simulate --n 5 --w 1.5",
+    "simulate --n 2 --w 0.7 --trials 2",
+    "simulate --n 5 --trials 0",
+])
+def test_bad_size_or_setting_is_an_error_line(monkeypatch, argv):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("work started before the input was checked")
+
+    monkeypatch.setattr(cli, "_report_row", must_not_run)
+    monkeypatch.setattr(cli.sim, "_run", must_not_run)
+    assert error_exit(argv.split()).startswith("error:")
+
+
+@pytest.mark.parametrize("row_builder, argv", [
+    ("_report_row", "rate --n 8"),
+    ("_rows_rate", "reproduce --target fig2"),
+])
+def test_out_into_missing_directory_fails_before_any_row(monkeypatch, tmp_path,
+                                                         row_builder, argv):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("rows computed before --out was checked")
+
+    monkeypatch.setattr(cli, row_builder, must_not_run)
+    out = str(tmp_path / "missing" / "x.csv")
+    assert error_exit(argv.split() + ["--out", out]).startswith("error:")
+
+
+def test_out_that_cannot_be_opened_is_an_error_line(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-m", "latticegossip", "rate", "--n", "5",
+         "--out", str(tmp_path)], capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
 
 
 # --- module entry point ----------------------------------------------------------------------

@@ -14,14 +14,22 @@ Proves:
      input and rejects anything else.
   5. spectrum_match_distance pairs two spectra greedily and reports the
      worst gap.
+  6. eigenvalues (the eigenvalues-only solve) returns the bits of
+     full_spectrum's eigenvalues for every n up to 60 on verify's weights,
+     and agrees within 1e-12 above that.
+  7. The batched enumeration is bit-equal to a per-pattern product loop and
+     never goes through the period kernel.
 """
 import numpy as np
 import pytest
 
-from latticegossip.matrices import expected_failure_matrix, primitive_gossip_matrix
+from latticegossip import matrices
+from latticegossip.matrices import (expected_failure_matrix, optimal_schedule,
+                                    pair_update_matrix, primitive_gossip_matrix)
 from latticegossip.oracle import (MAX_SPECTRUM_ORDER, determinant_shifted,
-                                  enumerate_failure_expectation, full_spectrum,
-                                  spectral_gap_numeric, spectrum_match_distance)
+                                  eigenvalues, enumerate_failure_expectation,
+                                  full_spectrum, spectral_gap_numeric,
+                                  spectrum_match_distance)
 from latticegossip.pentadiag import (PentaParams, charpoly_bb, charpoly_bb_bd,
                                      charpoly_bd_bd, weighted_gossip_params)
 
@@ -191,3 +199,66 @@ def test_match_distance_is_permutation_invariant():
 def test_match_distance_rejects_size_mismatch():
     with pytest.raises(ValueError):
         spectrum_match_distance([1.0, 2.0], [1.0])
+
+
+# --- eigenvalues-only solve --------------------------------------------------------
+
+# verify's spectra weights: the w-grid and the link-failure weights (1-p)/2.
+WEIGHTS = sorted({round(0.05 * k, 12) for k in range(1, 20)}
+                 | {(1.0 - round(0.1 * k, 12)) / 2.0 for k in range(11)})
+
+
+def test_eigenvalues_are_full_spectrum_bits_up_to_n_60():
+    for n in range(3, 61):
+        for w in WEIGHTS:
+            m = primitive_gossip_matrix(n, w)
+            assert np.array_equal(eigenvalues(m), full_spectrum(m).eigenvalues), \
+                (n, w)
+
+
+@pytest.mark.parametrize("n", [127, 224, 512])
+def test_eigenvalues_match_full_spectrum_at_large_n(n):
+    m = primitive_gossip_matrix(n, 0.3)
+    assert spectrum_match_distance(eigenvalues(m),
+                                   full_spectrum(m).eigenvalues) <= 1e-12
+
+
+def test_eigenvalues_order_cap():
+    with pytest.raises(ValueError):
+        eigenvalues(np.eye(MAX_SPECTRUM_ORDER + 1))
+
+
+# --- batched enumeration against the per-pattern loop ------------------------------
+
+
+def per_mask_expectation(n, p):
+    """The enumeration one failure pattern at a time: bit k of the mask
+    fails path edge (k+1, k+2), and the pair matrices multiply in schedule
+    order."""
+    sched = optimal_schedule(n)
+    edges = [(i, i + 1) for i in range(1, n)]
+    pair_mats = {pair: pair_update_matrix(n, pair, 0.5).entries
+                 for pair in sched.e1 + sched.e2}
+    total = np.zeros((n, n))
+    for mask in range(1 << (n - 1)):
+        failed = {edges[k] for k in range(n - 1) if mask >> k & 1}
+        weight = p ** len(failed) * (1.0 - p) ** (n - 1 - len(failed))
+        if weight == 0.0:
+            continue
+        period = np.eye(n)
+        for pair in sched.e1 + sched.e2:
+            if tuple(pair) not in failed:
+                period = pair_mats[pair] @ period
+        total += weight * period
+    return total
+
+
+@pytest.mark.parametrize("p", [0.0, 0.1, 0.3, 0.5, 1.0])
+@pytest.mark.parametrize("n", range(3, 10))
+def test_enumeration_is_bit_equal_to_per_mask_loop(monkeypatch, n, p):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("enumeration went through apply_period")
+
+    monkeypatch.setattr(matrices, "apply_period", must_not_run)
+    assert np.array_equal(enumerate_failure_expectation(n, p),
+                          per_mask_expectation(n, p))

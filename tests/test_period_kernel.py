@@ -10,7 +10,8 @@ Proves:
      changes the arithmetic or the draw order is caught.
   4. The greedy eigenvalue pairing is a permutation whose largest distance
      is spectrum_match_distance.
-  5. The eigensolver-failure fingerprint is a stable sha256 digest.
+  5. The eigensolver-failure fingerprint is a stable sha256 digest, on the
+     eigenpair solve and on the eigenvalues-only solve.
   6. spectrum rejects orders outside [3, MAX_SPECTRUM_ORDER] before it
      builds anything, and grid arguments are capped before they expand.
 """
@@ -129,14 +130,19 @@ def test_pairing_is_a_permutation_realizing_the_match_distance():
 # --- eigensolver-failure fingerprint ---------------------------------------------
 
 
-def test_eigensolver_failure_names_a_sha256_fingerprint(monkeypatch):
+@pytest.mark.parametrize("solver, entry", [
+    ("eig", oracle.full_spectrum),
+    ("eigvals", oracle.spectral_gap_numeric),
+], ids=["eig-full_spectrum", "eigvals-spectral_gap_numeric"])
+def test_eigensolver_failure_names_a_sha256_fingerprint(monkeypatch, solver,
+                                                         entry):
     def fail(_):
         raise np.linalg.LinAlgError("no convergence")
 
-    monkeypatch.setattr(np.linalg, "eig", fail)
+    monkeypatch.setattr(np.linalg, solver, fail)
     m = primitive_gossip_matrix(5, 0.3).entries
     with pytest.raises(RuntimeError) as info:
-        oracle.full_spectrum(m)
+        entry(m)
     assert hashlib.sha256(m.tobytes()).hexdigest()[:16] in str(info.value)
 
 
