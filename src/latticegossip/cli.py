@@ -27,6 +27,12 @@ NUMERIC_RATE_MAX_N = 512
 # checked before the list is built.
 MAX_GRID_POINTS = 1_000_000
 
+# Most bytes of matrices verify's spectra suite passes to one stacked
+# eigensolve.  Every weight of an order fits in one stack up to n = 77, so
+# the per-call cost is paid once per order; from n = 257 each matrix is
+# solved alone, so peak memory at large n stays that of one solve.
+SPECTRA_STACK_BYTES = 1 << 20
+
 # Reference values reproduced by the table2 target, keyed by n.  The rows
 # marked inconsistent disagree with the closed form by roughly an order of
 # magnitude (the closed form is independently confirmed by the numeric
@@ -276,12 +282,17 @@ def _suite_spectra(n_max: int, seed: int) -> float:
                      | {(1.0 - p) / 2.0 for p in _parse_grid("0:0.9:0.1")})
     worst = 0.0
     for n in range(3, n_max + 1):
-        for w in weights:
-            ana = pentadiag.analytic_eigenvalues(
-                pentadiag.weighted_gossip_params(n, w)).eigenvalues
-            num = oracle.full_spectrum(
-                matrices.primitive_gossip_matrix(n, w)).eigenvalues
-            worst = max(worst, oracle.spectrum_match_distance(ana, num))
+        # An order's weights, solved in stacks of at most SPECTRA_STACK_BYTES.
+        per_stack = max(1, SPECTRA_STACK_BYTES // (8 * n * n))
+        for i in range(0, len(weights), per_stack):
+            chunk = weights[i:i + per_stack]
+            stack = np.stack([matrices.primitive_gossip_matrix(n, w).entries
+                              for w in chunk])
+            nums = oracle.full_spectrum(stack).eigenvalues
+            for w, num in zip(chunk, nums):
+                ana = pentadiag.analytic_eigenvalues(
+                    pentadiag.weighted_gossip_params(n, w)).eigenvalues
+                worst = max(worst, oracle.spectrum_match_distance(ana, num))
     return worst
 
 
@@ -302,8 +313,8 @@ def _suite_charpoly(n_max: int, seed: int) -> float:
                                  (pentadiag.charpoly_bb_bd, ("bb", "bd")),
                                  (pentadiag.charpoly_bd_bd, ("bd", "bd"))):
                 a = pentadiag.penta_matrix(params, corners)
-                for lam in lams:
-                    det = oracle.determinant_shifted(a, lam)
+                dets = oracle.determinant_shifted(a, lams).tolist()
+                for lam, det in zip(lams, dets):
                     val = fam(params, parity, lam)
                     worst = max(worst,
                                 abs(val - det) / max(1.0, abs(det)))
@@ -346,6 +357,13 @@ VERIFY_SUITES = {
 def cmd_verify(args) -> int:
     if args.n_max < 3:
         raise SystemExit(f"error: --n-max must be >= 3, got {args.n_max}")
+    # The spectra suite solves every order up to n_max; the others cap
+    # their own orders.
+    if args.scope in ("all", "spectra") and \
+            args.n_max > oracle.MAX_SPECTRUM_ORDER:
+        raise SystemExit(f"error: --n-max must be <= "
+                         f"{oracle.MAX_SPECTRUM_ORDER} for scope "
+                         f"{args.scope}, got {args.n_max}")
     scopes = list(VERIFY_SUITES) if args.scope == "all" else [args.scope]
     failed = False
     for scope in scopes:

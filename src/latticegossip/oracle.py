@@ -12,6 +12,11 @@ alone; the report path (spectral_gap_numeric, the CLI's numeric columns)
 reads nothing else.  full_spectrum() also solves for the eigenvectors and
 returns the eigenpair residual with the eigenvalues.  Both share one order
 limit and one failure fingerprint.
+
+Both solvers also take a (k, n, n) stack of matrices, and
+determinant_shifted takes an array of shifts; either way the whole batch is
+one LAPACK call that runs the same routine on each matrix, so every entry
+has the bits of its own one-matrix call.
 """
 from __future__ import annotations
 
@@ -39,18 +44,27 @@ def _as_square_array(a) -> np.ndarray:
     return m
 
 
-def determinant_shifted(a, lam: complex) -> complex:
-    """det(A - lam*I) by LU elimination with partial pivoting over complex."""
+def determinant_shifted(a, lam):
+    """det(A - lam*I) by LU elimination with partial pivoting over complex.
+
+    A scalar shift gives a complex; an array of shifts gives a complex array
+    of the same shape, from one stacked LU call.
+    """
     m = _as_square_array(a).astype(complex)
-    shifted = m - lam * np.eye(m.shape[0], dtype=complex)
-    return complex(np.linalg.det(shifted))
+    lams = np.asarray(lam, dtype=complex)
+    shifted = m - lams[..., None, None] * np.eye(m.shape[0], dtype=complex)
+    dets = np.linalg.det(shifted)
+    return complex(dets) if lams.ndim == 0 else dets
 
 
 def _solve(a, solver):
-    """(m, solver(m)) for a as a square float array m, within the order
-    limit; a convergence failure names the matrix by a sha256 prefix."""
-    m = _as_square_array(a)
-    n = m.shape[0]
+    """(m, solver(m)) for a as a square float array m, or a (k, n, n) stack
+    of them, within the order limit; a convergence failure names the input
+    by a sha256 prefix."""
+    m = np.asarray(getattr(a, "entries", a), dtype=float)
+    if m.ndim != 3 or m.shape[1] != m.shape[2]:
+        m = _as_square_array(m)
+    n = m.shape[-1]
     if n > MAX_SPECTRUM_ORDER:
         raise ValueError(
             f"matrix order {n} exceeds the supported {MAX_SPECTRUM_ORDER}")
@@ -59,9 +73,10 @@ def _solve(a, solver):
     except np.linalg.LinAlgError as exc:
         import hashlib  # only on this path: keeps package import fast
         digest = hashlib.sha256(m.tobytes()).hexdigest()[:16]
-        raise RuntimeError(
-            f"eigensolver failed to converge on the {n}x{n} matrix "
-            f"(sha256 {digest})") from exc
+        what = (f"stack of {len(m)} {n}x{n} matrices" if m.ndim == 3
+                else f"{n}x{n} matrix")
+        raise RuntimeError(f"eigensolver failed to converge on the {what} "
+                           f"(sha256 {digest})") from exc
 
 
 def eigenvalues(a) -> np.ndarray:
@@ -69,7 +84,8 @@ def eigenvalues(a) -> np.ndarray:
 
     The same Hessenberg-plus-QR solve as full_spectrum, run for the
     eigenvalues only: complex eigenvalues of a real input come out in exact
-    conjugate pairs, and no residual is computed.
+    conjugate pairs, and no residual is computed.  A (k, n, n) stack gives
+    a (k, n) array, one row per matrix.
     """
     return _solve(a, np.linalg.eigvals)[1]
 
@@ -80,13 +96,22 @@ def full_spectrum(a) -> OracleSpectrum:
     Uses the dense general eigensolver (Hessenberg reduction followed by
     implicitly shifted QR); complex eigenvalues of a real input come out in
     exact conjugate pairs.  The residual reported is the largest relative
-    eigenpair defect max_i |A v_i - lam_i v_i| / ||A||_F.
+    eigenpair defect max_i |A v_i - lam_i v_i| / ||A||_F.  A (k, n, n)
+    stack gives (k, n) eigenvalues, one row per matrix, and the largest of
+    the k residuals.
     """
     m, (values, vectors) = _solve(a, np.linalg.eig)
-    defect = m.astype(complex) @ vectors - vectors * values
-    scale = max(float(np.linalg.norm(m)), 1e-300)
-    residual = float(np.linalg.norm(defect, axis=0).max() / scale)
-    return OracleSpectrum(eigenvalues=values, residual=residual)
+    n = m.shape[-1]
+    residuals = []
+    # One matrix at a time: the same bits as a one-matrix call, and no
+    # stack-sized temporaries.
+    for x, lams, vecs in zip(m.reshape(-1, n, n), values.reshape(-1, n),
+                             vectors.reshape(-1, n, n)):
+        defect = x.astype(complex) @ vecs - vecs * lams
+        scale = max(float(np.linalg.norm(x)), 1e-300)
+        residuals.append(np.linalg.norm(defect, axis=0).max() / scale)
+    return OracleSpectrum(eigenvalues=values,
+                          residual=float(np.max(residuals)))
 
 
 def enumerate_failure_expectation(n: int, p: float) -> np.ndarray:
@@ -121,10 +146,11 @@ def enumerate_failure_expectation(n: int, p: float) -> np.ndarray:
         pair_stack = np.repeat(pair_update_matrix(n, pair, 0.5).entries[None],
                                up.size, axis=0)
         periods[up] = pair_stack @ periods[up]
-    total = np.zeros((n, n))
-    for weight, period in zip(weights, periods):
-        total += weight * period
-    return total
+    # Weight each product, then sum in mask order: accumulate adds
+    # sequentially along the pattern axis, as a running total would.
+    periods *= weights[:, None, None]
+    np.add.accumulate(periods, axis=0, out=periods)
+    return periods[-1].copy()
 
 
 def spectral_gap_numeric(a) -> float:

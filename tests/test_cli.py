@@ -13,6 +13,9 @@ Proves:
   5. Bad sizes, bad simulator settings and an --out path that cannot be
      written end in an error: line before any row is computed, never in a
      traceback.
+  6. verify's stacked suites return the float of a one-matrix-at-a-time
+     loop, and an --n-max the spectra suite cannot solve is an error: line
+     before any suite runs.
 """
 import csv
 import io
@@ -23,7 +26,7 @@ import sys
 import numpy as np
 import pytest
 
-from latticegossip import cli
+from latticegossip import cli, matrices, oracle, pentadiag
 from latticegossip.cli import REPORT_FIELDS, SPECTRUM_FIELDS, main
 from latticegossip.rates import rate_link_failure, rate_weighted, relative_error
 
@@ -239,6 +242,105 @@ def test_verify_all_tiny_sizes(capsys):
 def test_verify_rejects_tiny_n_max(capsys):
     with pytest.raises(SystemExit):
         main(["verify", "--n-max", "2"])
+
+
+@pytest.mark.parametrize("scope", ["all", "spectra"])
+def test_verify_rejects_n_max_beyond_the_solver_before_any_suite(monkeypatch,
+                                                                 scope):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a suite ran before --n-max was checked")
+
+    for name, (_, tol, label) in cli.VERIFY_SUITES.items():
+        monkeypatch.setitem(cli.VERIFY_SUITES, name,
+                            (must_not_run, tol, label))
+    n_max = str(oracle.MAX_SPECTRUM_ORDER + 1)
+    message = error_exit(["verify", "--scope", scope, "--n-max", n_max])
+    assert message.startswith("error:")
+    assert str(oracle.MAX_SPECTRUM_ORDER) in message
+
+
+@pytest.mark.parametrize("scope", ["charpoly", "failure-matrix", "simulator"])
+def test_verify_scopes_that_cap_their_orders_accept_any_n_max(capsys, scope):
+    code, out = run_cli(capsys, "verify", "--scope", scope, "--n-max", "2500")
+    assert code == 0
+    assert "overall: PASS" in out
+
+
+# Each stacked suite written as a loop over one matrix and one shift at a
+# time; the stacked suites must return these floats.
+
+
+def looped_spectra(n_max, seed):
+    weights = sorted(set(cli._parse_grid("0.05:0.95:0.05"))
+                     | {(1.0 - p) / 2.0 for p in cli._parse_grid("0:0.9:0.1")})
+    worst = 0.0
+    for n in range(3, n_max + 1):
+        for w in weights:
+            ana = pentadiag.analytic_eigenvalues(
+                pentadiag.weighted_gossip_params(n, w)).eigenvalues
+            num = oracle.full_spectrum(
+                matrices.primitive_gossip_matrix(n, w)).eigenvalues
+            worst = max(worst, oracle.spectrum_match_distance(ana, num))
+    return worst
+
+
+def looped_charpoly(n_max, seed):
+    rng = np.random.default_rng(seed)
+    orders = sorted({o for o in (5, 6, 13, 14, 27, 28, 50, 51)
+                     if o <= max(n_max, 6)})
+    worst = 0.0
+    for n in orders:
+        parity = "odd" if n % 2 == 1 else "even"
+        for _ in range(3):
+            e, b, c = rng.uniform(-1.5, 1.5, 3)
+            d = b + c if n % 2 == 1 else rng.uniform(-1.5, 1.5)
+            params = pentadiag.PentaParams(alpha=0.0, beta=0.0, e=e, b=b,
+                                           c=c, d=d, n=n)
+            lams = rng.uniform(-2, 2, 20) + 1j * rng.uniform(-2, 2, 20)
+            for fam, corners in ((pentadiag.charpoly_bb, ("bb", "bb")),
+                                 (pentadiag.charpoly_bb_bd, ("bb", "bd")),
+                                 (pentadiag.charpoly_bd_bd, ("bd", "bd"))):
+                a = pentadiag.penta_matrix(params, corners)
+                for lam in lams:
+                    det = oracle.determinant_shifted(a, lam)
+                    val = fam(params, parity, lam)
+                    worst = max(worst,
+                                abs(val - det) / max(1.0, abs(det)))
+    return worst
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+@pytest.mark.parametrize("n_max", [3, 4, 12, 20, 33])
+@pytest.mark.parametrize("scope, looped", [
+    ("spectra", looped_spectra),
+    ("charpoly", looped_charpoly),
+])
+def test_stacked_suite_returns_the_float_of_the_looped_suite(scope, looped,
+                                                             n_max, seed):
+    suite = cli.VERIFY_SUITES[scope][0]
+    assert suite(n_max, seed) == looped(n_max, seed)
+
+
+def test_spectra_stacks_stay_within_their_byte_cap(monkeypatch):
+    # A cap of 5 matrices at n = 12 takes the suite through every regime by
+    # n = 30: one stack per order, several per order, one matrix per solve.
+    looped = looped_spectra(30, 0)
+    cap = 5 * 8 * 12 * 12
+    monkeypatch.setattr(cli, "SPECTRA_STACK_BYTES", cap)
+    solve, stacks = oracle.full_spectrum, []
+
+    def recording(a):
+        stacks.append(a.shape)
+        return solve(a)
+
+    monkeypatch.setattr(oracle, "full_spectrum", recording)
+    assert cli._suite_spectra(30, 0) == looped
+    for n in range(3, 31):
+        sizes = [k for k, rows, _ in stacks if rows == n]
+        assert sum(sizes) == 22
+        assert all(k * 8 * n * n <= cap for k in sizes) or sizes == [1] * 22
+    assert {len([1 for _, rows, _ in stacks if rows == n])
+            for n in (3, 12, 30)} == {1, 5, 22}
 
 
 # --- argument failures ---------------------------------------------------------------------

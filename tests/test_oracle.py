@@ -17,13 +17,20 @@ Proves:
   6. eigenvalues (the eigenvalues-only solve) returns the bits of
      full_spectrum's eigenvalues for every n up to 60 on verify's weights,
      and agrees within 1e-12 above that.
-  7. The batched enumeration is bit-equal to a per-pattern product loop and
-     never goes through the period kernel.
+  7. The batched enumeration is bit-equal to a per-pattern product loop,
+     on every (n, p) of verify's failure-matrix suite, and never goes
+     through the period kernel.
+  8. A (k, n, n) stack solves to the bits of its one-matrix solves, with
+     the largest of their residuals; an array of shifts gives the bits of
+     its one-shift determinants; a failed stack solve names its sha256
+     digest; the one-matrix entry points still reject a stack.
 """
+import hashlib
+
 import numpy as np
 import pytest
 
-from latticegossip import matrices
+from latticegossip import cli, matrices
 from latticegossip.matrices import (expected_failure_matrix, optimal_schedule,
                                     pair_update_matrix, primitive_gossip_matrix)
 from latticegossip.oracle import (MAX_SPECTRUM_ORDER, determinant_shifted,
@@ -31,7 +38,8 @@ from latticegossip.oracle import (MAX_SPECTRUM_ORDER, determinant_shifted,
                                   full_spectrum, spectral_gap_numeric,
                                   spectrum_match_distance)
 from latticegossip.pentadiag import (PentaParams, charpoly_bb, charpoly_bb_bd,
-                                     charpoly_bd_bd, weighted_gossip_params)
+                                     charpoly_bd_bd, penta_matrix,
+                                     weighted_gossip_params)
 
 # --- shifted determinants ------------------------------------------------------
 
@@ -253,8 +261,9 @@ def per_mask_expectation(n, p):
     return total
 
 
-@pytest.mark.parametrize("p", [0.0, 0.1, 0.3, 0.5, 1.0])
-@pytest.mark.parametrize("n", range(3, 10))
+# n up to 10 and the p grid of verify's failure-matrix suite.
+@pytest.mark.parametrize("p", cli._parse_grid("0:1:0.1"))
+@pytest.mark.parametrize("n", range(3, 11))
 def test_enumeration_is_bit_equal_to_per_mask_loop(monkeypatch, n, p):
     def must_not_run(*args, **kwargs):
         raise AssertionError("enumeration went through apply_period")
@@ -262,3 +271,82 @@ def test_enumeration_is_bit_equal_to_per_mask_loop(monkeypatch, n, p):
     monkeypatch.setattr(matrices, "apply_period", must_not_run)
     assert np.array_equal(enumerate_failure_expectation(n, p),
                           per_mask_expectation(n, p))
+
+
+# --- stacked solves and arrays of shifts ---------------------------------------------
+
+# verify's 22 spectra weights, computed exactly as the suite computes them.
+VERIFY_WEIGHTS = sorted(set(cli._parse_grid("0.05:0.95:0.05"))
+                        | {(1.0 - p) / 2.0
+                           for p in cli._parse_grid("0:0.9:0.1")})
+
+
+def gossip_stack(n, weights=VERIFY_WEIGHTS):
+    return np.stack([primitive_gossip_matrix(n, w).entries for w in weights])
+
+
+def test_stacked_solves_are_the_bits_of_one_matrix_solves_up_to_n_60():
+    for n in range(3, 61):
+        stack = gossip_stack(n)
+        full = full_spectrum(stack).eigenvalues
+        only = eigenvalues(stack)
+        assert full.shape == only.shape == (len(VERIFY_WEIGHTS), n)
+        for k, m in enumerate(stack):
+            assert np.array_equal(full[k], full_spectrum(m).eigenvalues), \
+                (n, VERIFY_WEIGHTS[k])
+            assert np.array_equal(only[k], eigenvalues(m)), \
+                (n, VERIFY_WEIGHTS[k])
+
+
+@pytest.mark.parametrize("n", [3, 4, 12, 33, 60])
+def test_stack_residual_is_the_largest_one_matrix_residual(n):
+    stack = gossip_stack(n)
+    assert full_spectrum(stack).residual == \
+        max(full_spectrum(m).residual for m in stack)
+
+
+@pytest.mark.parametrize("shape", [(1, MAX_SPECTRUM_ORDER + 1,
+                                    MAX_SPECTRUM_ORDER + 1), (2, 3, 4)],
+                         ids=["order-cap", "not-square"])
+def test_stack_shape_is_checked(shape):
+    with pytest.raises(ValueError):
+        full_spectrum(np.zeros(shape))
+
+
+@pytest.mark.parametrize("n", [5, 6, 13, 28, 51])
+def test_array_of_shifts_is_the_bits_of_one_shift_determinants(n):
+    rng = np.random.default_rng(n)
+    a = PentaParams(alpha=0.0, beta=0.0, e=0.3, b=-0.7, c=1.1, d=0.4, n=n)
+    m = penta_matrix(a, ("bb", "bd"))
+    lams = rng.uniform(-2, 2, 20) + 1j * rng.uniform(-2, 2, 20)
+    dets = determinant_shifted(m, lams)
+    assert dets.shape == lams.shape
+    for i in range(lams.size):
+        one = determinant_shifted(m, lams[i])
+        assert isinstance(one, complex)
+        assert dets[i] == one
+
+
+@pytest.mark.parametrize("entry", [spectral_gap_numeric,
+                                   lambda a: determinant_shifted(a, 0.5)],
+                         ids=["spectral_gap_numeric", "determinant_shifted"])
+def test_one_matrix_entry_points_reject_a_stack(entry):
+    with pytest.raises(ValueError):
+        entry(gossip_stack(4, [0.3, 0.5]))
+
+
+@pytest.mark.parametrize("solver, entry", [
+    ("eig", full_spectrum),
+    ("eigvals", eigenvalues),
+])
+def test_failed_stack_solve_names_a_sha256_fingerprint(monkeypatch, solver,
+                                                       entry):
+    def fail(_):
+        raise np.linalg.LinAlgError("no convergence")
+
+    monkeypatch.setattr(np.linalg, solver, fail)
+    stack = gossip_stack(5, [0.3, 0.6, 0.9])
+    with pytest.raises(RuntimeError) as info:
+        entry(stack)
+    assert hashlib.sha256(stack.tobytes()).hexdigest()[:16] in str(info.value)
+    assert "stack of 3 5x5 matrices" in str(info.value)
