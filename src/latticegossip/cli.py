@@ -115,14 +115,17 @@ def _parse_grid(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"non-finite grid bound in {text!r}")
     if step <= 0 or hi < lo:
         raise argparse.ArgumentTypeError(f"empty grid {text!r}")
-    if (hi - lo) / step >= MAX_GRID_POINTS:
+    # The last point may overshoot hi by a rounding slack; the cap counts
+    # the points up to the same slack the loop runs to.
+    top = hi + 1e-9 * max(1.0, abs(hi))
+    if (top - lo) / step >= MAX_GRID_POINTS:
         raise argparse.ArgumentTypeError(
             f"grid {text!r} has more than {MAX_GRID_POINTS} points")
     values = []
     k = 0
     while True:
         v = lo + k * step
-        if v > hi + 1e-9 * max(1.0, abs(hi)):
+        if v > top:
             break
         values.append(round(v, 12))
         k += 1
@@ -157,10 +160,31 @@ def _resolve_grid(args, name: str, default: list[float]) -> list[float]:
 # --- report rows -----------------------------------------------------------
 
 
+def _root_weight(w: float) -> float:
+    """For 0 <= w <= 1/2, the weight h <= 1/2 whose pair update squares to
+    the one at w: the root of 2h(1 - h) = w, written without cancellation."""
+    return w / (1.0 + math.sqrt(1.0 - 2.0 * w))
+
+
+def _oracle_matrix(n: int, w: float) -> np.ndarray:
+    """A matrix with the eigenvalues of the period matrix W(w) = S2 S1.
+
+    For w <= 1/2, each round S_k(h) at h = _root_weight(w) is the positive
+    semidefinite square root of S_k(w), so W(w) has the eigenvalues of
+    S1(h) S2(w) S1(h) = W(h)^T W(h).  numpy forms that product as an
+    exactly symmetric matrix, so the oracle takes its symmetric solve.
+    Above 1/2, S1(w) is indefinite and W(w) itself is returned.
+    """
+    if w > 0.5:
+        return matrices.primitive_gossip_matrix(n, w).entries
+    c = matrices.primitive_gossip_matrix(n, _root_weight(w)).entries
+    return c.T @ c
+
+
 def _numeric_rate(n: int, w: float) -> float | None:
     if n > NUMERIC_RATE_MAX_N:
         return None
-    return oracle.spectral_gap_numeric(matrices.primitive_gossip_matrix(n, w))
+    return oracle.spectral_gap_numeric(_oracle_matrix(n, w))
 
 
 def _report_row(n: int, w: float | None = None, p: float | None = None,
@@ -254,8 +278,7 @@ def cmd_spectrum(args) -> int:
     w = value if kind == "w" else (1.0 - value) / 2.0
     analytic = pentadiag.analytic_eigenvalues(
         pentadiag.weighted_gossip_params(n, w)).eigenvalues
-    numeric = oracle.eigenvalues(
-        matrices.primitive_gossip_matrix(n, w)).astype(complex)
+    numeric = oracle.eigenvalues(_oracle_matrix(n, w)).astype(complex)
 
     order = np.lexsort((analytic.imag, analytic.real, -np.abs(analytic)))
     analytic = analytic[order]

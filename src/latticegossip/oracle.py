@@ -2,16 +2,20 @@
 
 Nothing in this module shares formula code with the closed-form layers: the
 determinant goes through LU elimination with partial pivoting, spectra come
-from the standard Hessenberg-plus-QR dense eigensolver, and the link-failure
+from the standard dense eigensolvers (Hessenberg reduction plus QR, or
+tridiagonal reduction plus QR for a symmetric input), and the link-failure
 expectation is an exhaustive sum over all 2^(n-1) failure patterns.
 Agreement between these engines and the analytic expressions is therefore
 evidence, not tautology.
 
 The solver comes in two strengths.  eigenvalues() solves for the eigenvalues
 alone; the report path (spectral_gap_numeric, the CLI's numeric columns)
-reads nothing else.  full_spectrum() also solves for the eigenvectors and
-returns the eigenpair residual with the eigenvalues.  Both share one order
-limit and one failure fingerprint.
+reads nothing else.  An input exactly equal to its transpose goes to the
+symmetric driver (np.linalg.eigvalsh), about an eighth of the general
+solve's flops; any other input to the general one (np.linalg.eigvals).
+full_spectrum() always takes the general solve, also solves for the
+eigenvectors, and returns the eigenpair residual with the eigenvalues.  All
+share one order limit and one failure fingerprint.
 
 Both solvers also take a (k, n, n) stack of matrices, and
 determinant_shifted takes an array of shifts; either way the whole batch is
@@ -79,15 +83,23 @@ def _solve(a, solver):
                            f"(sha256 {digest})") from exc
 
 
+def _eigvals(m: np.ndarray) -> np.ndarray:
+    if np.array_equal(m, m.swapaxes(-1, -2)):
+        return np.linalg.eigvalsh(m)
+    return np.linalg.eigvals(m)
+
+
 def eigenvalues(a) -> np.ndarray:
     """All eigenvalues of a real square matrix, without eigenvectors.
 
-    The same Hessenberg-plus-QR solve as full_spectrum, run for the
-    eigenvalues only: complex eigenvalues of a real input come out in exact
-    conjugate pairs, and no residual is computed.  A (k, n, n) stack gives
-    a (k, n) array, one row per matrix.
+    An exactly symmetric input (every matrix of a stack bit-equal to its
+    transpose) is solved by the symmetric driver: real eigenvalues in
+    ascending order.  Any other input takes the same Hessenberg-plus-QR
+    solve as full_spectrum, run for the eigenvalues only: complex
+    eigenvalues come out in exact conjugate pairs.  No residual is
+    computed.  A (k, n, n) stack gives a (k, n) array, one row per matrix.
     """
-    return _solve(a, np.linalg.eigvals)[1]
+    return _solve(a, _eigvals)[1]
 
 
 def full_spectrum(a) -> OracleSpectrum:

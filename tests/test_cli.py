@@ -9,7 +9,9 @@ Proves:
   3. verify runs its suites and reports PASS with exit code 0 on the
      shipped implementation, and argument validation fails loudly.
   4. The report commands and spectrum read eigenvalues only: they run with
-     the eigenpair solver disabled.
+     the eigenpair solver disabled.  Rows and spectra at w <= 1/2 (every
+     link-failure row among them) run with the general solver disabled,
+     and rows at w > 1/2 with the symmetric one disabled.
   5. Bad sizes, bad simulator settings and an --out path that cannot be
      written end in an error: line before any row is computed, never in a
      traceback.
@@ -401,6 +403,31 @@ def test_report_path_never_solves_for_eigenvectors(monkeypatch, capsys, argv):
     code, out = run_cli(capsys, *argv.split())
     assert code == 0
     assert len(parse_csv(out)) == (64 if argv.startswith("spectrum") else 1)
+
+
+@pytest.mark.parametrize("disabled, argv", [
+    ("eigvals", "rate --n 512 --w 0.3"),
+    ("eigvals", "link-failure --n 416 --p 0.3"),
+    ("eigvals", "spectrum --n 320 --p 0.3"),
+    ("eigvals", "simulate --n 6 --w 0.5 --p 0.3 --trials 2"),
+    ("eigvalsh", "rate --n 64 --w 0.8"),
+])
+def test_report_path_solver_follows_the_weight(monkeypatch, capsys, disabled,
+                                               argv):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError(f"np.linalg.{disabled} called")
+
+    monkeypatch.setattr(np.linalg, disabled, must_not_run)
+    code, out = run_cli(capsys, *argv.split())
+    assert code == 0
+    rows = parse_csv(out)
+    if argv.startswith("spectrum"):
+        assert len(rows) == 320
+        assert max(float(r["pair_distance"]) for r in rows) <= 1e-8
+    else:
+        (row,) = rows
+        assert abs(float(row["analytic_rate"])
+                   - float(row["numeric_rate"])) <= 1e-8
 
 
 # --- errors before work ----------------------------------------------------------------------

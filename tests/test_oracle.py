@@ -24,8 +24,14 @@ Proves:
      the largest of their residuals; an array of shifts gives the bits of
      its one-shift determinants; a failed stack solve names its sha256
      digest; the one-matrix entry points still reject a stack.
+  9. For w <= 1/2 the CLI's oracle matrix W(h)^T W(h) stands in for W(w):
+     2h(1 - h) = w within 1 ulp, the product is exactly symmetric and
+     doubly stochastic on the installed numpy, its symmetric solve agrees
+     with the general solve of W(w) within 1e-13, and eigenvalues() sends
+     exactly symmetric input, and only that, to the symmetric driver.
 """
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -350,3 +356,73 @@ def test_failed_stack_solve_names_a_sha256_fingerprint(monkeypatch, solver,
         entry(stack)
     assert hashlib.sha256(stack.tobytes()).hexdigest()[:16] in str(info.value)
     assert "stack of 3 5x5 matrices" in str(info.value)
+
+
+# --- symmetric oracle matrix for w <= 1/2 --------------------------------------------
+
+LOW_WEIGHTS = [w for w in VERIFY_WEIGHTS if w <= 0.5]
+
+
+@pytest.mark.parametrize("w", [0.0, 1e-300, 1e-12] + LOW_WEIGHTS)
+def test_root_weight_solves_the_pair_square(w):
+    h = cli._root_weight(w)
+    assert 0.0 <= h <= 0.5
+    assert abs(2.0 * h * (1.0 - h) - w) <= math.ulp(w)
+
+
+def test_oracle_matrix_is_exactly_symmetric_and_doubly_stochastic():
+    # Every weight at n <= 60, then one weight per order, in turn, up to
+    # past the report path's largest order.
+    for n in range(3, 521):
+        ones = np.ones(n)
+        for w in (LOW_WEIGHTS if n <= 60
+                  else [LOW_WEIGHTS[n % len(LOW_WEIGHTS)]]):
+            g = cli._oracle_matrix(n, w)
+            assert np.array_equal(g, g.T), (n, w)
+            assert np.abs(g @ ones - ones).max() <= 1e-12, (n, w)
+
+
+def test_oracle_matrix_has_the_spectrum_of_w_up_to_n_60():
+    for n in range(3, 61):
+        for w in LOW_WEIGHTS:
+            gram = eigenvalues(cli._oracle_matrix(n, w))
+            assert gram.dtype == float
+            assert spectrum_match_distance(
+                gram, eigenvalues(primitive_gossip_matrix(n, w))) <= 1e-13, \
+                (n, w)
+
+
+@pytest.mark.parametrize("n", [127, 224, 512])
+@pytest.mark.parametrize("w", [0.05, 0.1, 0.3, 0.5])
+def test_oracle_matrix_has_the_spectrum_of_w_at_large_n(n, w):
+    assert spectrum_match_distance(
+        eigenvalues(cli._oracle_matrix(n, w)),
+        eigenvalues(primitive_gossip_matrix(n, w))) <= 1e-13
+
+
+def test_oracle_matrix_above_half_is_the_period_matrix():
+    assert np.array_equal(cli._oracle_matrix(9, 0.8),
+                          primitive_gossip_matrix(9, 0.8).entries)
+
+
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_only_exactly_symmetric_input_takes_the_symmetric_driver(monkeypatch,
+                                                                 symmetric):
+    calls = []
+
+    def recorded(name):
+        solver = getattr(np.linalg, name)
+
+        def solve(m):
+            calls.append(name)
+            return solver(m)
+        return solve
+
+    for name in ("eigvalsh", "eigvals"):
+        monkeypatch.setattr(np.linalg, name, recorded(name))
+    g = cli._oracle_matrix(7, 0.3)
+    if not symmetric:
+        g = g.copy()
+        g[0, 1] = np.nextafter(g[0, 1], 1.0)
+    eigenvalues(np.stack([g, g]))
+    assert calls == ["eigvalsh" if symmetric else "eigvals"]

@@ -11,9 +11,10 @@ Proves:
   4. The greedy eigenvalue pairing is a permutation whose largest distance
      is spectrum_match_distance.
   5. The eigensolver-failure fingerprint is a stable sha256 digest, on the
-     eigenpair solve and on the eigenvalues-only solve.
+     eigenpair solve and on both eigenvalues-only solves.
   6. spectrum rejects orders outside [3, MAX_SPECTRUM_ORDER] before it
-     builds anything, and grid arguments are capped before they expand.
+     builds anything, and grid arguments are capped, rounding slack
+     included, before they expand.
 """
 import argparse
 import hashlib
@@ -130,17 +131,19 @@ def test_pairing_is_a_permutation_realizing_the_match_distance():
 # --- eigensolver-failure fingerprint ---------------------------------------------
 
 
-@pytest.mark.parametrize("solver, entry", [
-    ("eig", oracle.full_spectrum),
-    ("eigvals", oracle.spectral_gap_numeric),
-], ids=["eig-full_spectrum", "eigvals-spectral_gap_numeric"])
+@pytest.mark.parametrize("solver, entry, m", [
+    ("eig", oracle.full_spectrum, primitive_gossip_matrix(5, 0.3).entries),
+    ("eigvals", oracle.spectral_gap_numeric,
+     primitive_gossip_matrix(5, 0.3).entries),
+    ("eigvalsh", oracle.spectral_gap_numeric, cli._oracle_matrix(5, 0.3)),
+], ids=["eig-full_spectrum", "eigvals-spectral_gap_numeric",
+        "eigvalsh-spectral_gap_numeric"])
 def test_eigensolver_failure_names_a_sha256_fingerprint(monkeypatch, solver,
-                                                         entry):
+                                                         entry, m):
     def fail(_):
         raise np.linalg.LinAlgError("no convergence")
 
     monkeypatch.setattr(np.linalg, solver, fail)
-    m = primitive_gossip_matrix(5, 0.3).entries
     with pytest.raises(RuntimeError) as info:
         entry(m)
     assert hashlib.sha256(m.tobytes()).hexdigest()[:16] in str(info.value)
@@ -169,6 +172,18 @@ def test_spectrum_rejects_order_before_building(monkeypatch, argv):
 
 @pytest.mark.parametrize("text", ["0:1:1e-12", "0:1e300:1e-300", "-1e308:1e308:1"])
 def test_huge_grid_is_rejected_before_expansion(text):
+    with pytest.raises(argparse.ArgumentTypeError, match="more than"):
+        cli._parse_grid(text)
+
+
+@pytest.mark.parametrize("text", ["0.5:0.5:6e-16", "0.5:0.5:1e-16"])
+def test_grid_cap_counts_the_rounding_slack(monkeypatch, text):
+    # (hi - lo) / step is 0 here, but the loop runs up to a slack above hi:
+    # 1.7 and 10 million points.  The loop must not start.
+    def must_not_run(*args):
+        raise AssertionError("grid expanded before its count was checked")
+
+    monkeypatch.setattr(cli, "round", must_not_run, raising=False)
     with pytest.raises(argparse.ArgumentTypeError, match="more than"):
         cli._parse_grid(text)
 
