@@ -115,12 +115,14 @@ def _parse_grid(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"non-finite grid bound in {text!r}")
     if step <= 0 or hi < lo:
         raise argparse.ArgumentTypeError(f"empty grid {text!r}")
-    # The last point may overshoot hi by a rounding slack; the cap counts
-    # the points up to the same slack the loop runs to.
-    top = hi + 1e-9 * max(1.0, abs(hi))
-    if (top - lo) / step >= MAX_GRID_POINTS:
+    # The last point may overshoot hi by a rounding slack of at most half a
+    # step, so a step below the slack adds no points past hi.  The cap
+    # counts up to the widest slack, so it bounds the loop for any step.
+    slack = 1e-9 * max(1.0, abs(hi))
+    if (hi + slack - lo) / step >= MAX_GRID_POINTS:
         raise argparse.ArgumentTypeError(
             f"grid {text!r} has more than {MAX_GRID_POINTS} points")
+    top = hi + min(slack, step / 2)
     values = []
     k = 0
     while True:
@@ -278,7 +280,7 @@ def cmd_spectrum(args) -> int:
     w = value if kind == "w" else (1.0 - value) / 2.0
     analytic = pentadiag.analytic_eigenvalues(
         pentadiag.weighted_gossip_params(n, w)).eigenvalues
-    numeric = oracle.eigenvalues(_oracle_matrix(n, w)).astype(complex)
+    numeric = oracle.split_eigenvalues(_oracle_matrix(n, w)).astype(complex)
 
     order = np.lexsort((analytic.imag, analytic.real, -np.abs(analytic)))
     analytic = analytic[order]

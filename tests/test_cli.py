@@ -11,7 +11,8 @@ Proves:
   4. The report commands and spectrum read eigenvalues only: they run with
      the eigenpair solver disabled.  Rows and spectra at w <= 1/2 (every
      link-failure row among them) run with the general solver disabled,
-     and rows at w > 1/2 with the symmetric one disabled.
+     and rows at w > 1/2 with the symmetric one disabled.  At even n the
+     general solver sees nothing larger than a half-order block.
   5. Bad sizes, bad simulator settings and an --out path that cannot be
      written end in an error: line before any row is computed, never in a
      traceback.
@@ -423,6 +424,32 @@ def test_report_path_solver_follows_the_weight(monkeypatch, capsys, disabled,
     rows = parse_csv(out)
     if argv.startswith("spectrum"):
         assert len(rows) == 320
+        assert max(float(r["pair_distance"]) for r in rows) <= 1e-8
+    else:
+        (row,) = rows
+        assert abs(float(row["analytic_rate"])
+                   - float(row["numeric_rate"])) <= 1e-8
+
+
+@pytest.mark.parametrize("argv, n", [
+    ("rate --n 512 --w 0.8", 512),
+    ("spectrum --n 320 --w 0.8", 320),
+])
+def test_even_order_solves_only_half_order_blocks(monkeypatch, capsys, argv,
+                                                  n):
+    solver = np.linalg.eigvals
+
+    def half_order_only(m):
+        if max(m.shape[-2:]) > n // 2:
+            raise AssertionError(f"np.linalg.eigvals called on {m.shape}")
+        return solver(m)
+
+    monkeypatch.setattr(np.linalg, "eigvals", half_order_only)
+    code, out = run_cli(capsys, *argv.split())
+    assert code == 0
+    rows = parse_csv(out)
+    if argv.startswith("spectrum"):
+        assert len(rows) == n
         assert max(float(r["pair_distance"]) for r in rows) <= 1e-8
     else:
         (row,) = rows

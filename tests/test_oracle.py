@@ -29,6 +29,13 @@ Proves:
      doubly stochastic on the installed numpy, its symmetric solve agrees
      with the general solve of W(w) within 1e-13, and eigenvalues() sends
      exactly symmetric input, and only that, to the symmetric driver.
+ 10. The reflection split: at even n the period matrix is bit-equal to its
+     180-degree rotation, and its two half-order blocks together have W's
+     spectrum within 1e-13; spectral_gap_numeric solves them as one
+     (2, n/2, n/2) stack; odd n, or an even-order input one ulp off its
+     rotation, is solved whole, with the bits of eigenvalues(); symmetric
+     input gives bit-symmetric halves that reach the symmetric driver; and
+     the order limit applies to the caller's order, not the halves'.
 """
 import hashlib
 import math
@@ -41,7 +48,8 @@ from latticegossip.matrices import (expected_failure_matrix, optimal_schedule,
                                     pair_update_matrix, primitive_gossip_matrix)
 from latticegossip.oracle import (MAX_SPECTRUM_ORDER, determinant_shifted,
                                   eigenvalues, enumerate_failure_expectation,
-                                  full_spectrum, spectral_gap_numeric,
+                                  full_spectrum, reflection_halves,
+                                  spectral_gap_numeric, split_eigenvalues,
                                   spectrum_match_distance)
 from latticegossip.pentadiag import (PentaParams, charpoly_bb, charpoly_bb_bd,
                                      charpoly_bd_bd, penta_matrix,
@@ -426,3 +434,108 @@ def test_only_exactly_symmetric_input_takes_the_symmetric_driver(monkeypatch,
         g[0, 1] = np.nextafter(g[0, 1], 1.0)
     eigenvalues(np.stack([g, g]))
     assert calls == ["eigvalsh" if symmetric else "eigvals"]
+
+
+# --- reflection split for even n -----------------------------------------------------
+
+
+def split_spectrum(m):
+    return eigenvalues(reflection_halves(m)).ravel()
+
+
+def test_halves_have_the_spectrum_of_w_up_to_n_60():
+    for n in range(4, 61):
+        for w in VERIFY_WEIGHTS:
+            m = primitive_gossip_matrix(n, w).entries
+            halves = reflection_halves(m)
+            if n % 2 == 0:
+                assert np.array_equal(m, m[::-1, ::-1]), (n, w)
+                assert halves.shape == (2, n // 2, n // 2), (n, w)
+            assert spectrum_match_distance(split_spectrum(m),
+                                           eigenvalues(m)) <= 1e-13, (n, w)
+
+
+@pytest.mark.parametrize("n", [128, 224, 320, 416, 512])
+@pytest.mark.parametrize("w", [0.55, 0.8, 0.95])
+def test_halves_have_the_spectrum_of_w_at_large_n(n, w):
+    m = primitive_gossip_matrix(n, w).entries
+    assert reflection_halves(m).shape == (2, n // 2, n // 2)
+    assert spectrum_match_distance(split_spectrum(m), eigenvalues(m)) <= 1e-13
+
+
+def record_solves(monkeypatch):
+    """Patch both eigenvalue drivers to log (name, input shape) and solve."""
+    calls = []
+
+    def recorded(name):
+        solver = getattr(np.linalg, name)
+
+        def solve(m):
+            calls.append((name, m.shape))
+            return solver(m)
+        return solve
+
+    for name in ("eigvalsh", "eigvals"):
+        monkeypatch.setattr(np.linalg, name, recorded(name))
+    return calls
+
+
+@pytest.mark.parametrize("n", [4, 6, 12, 60, 128])
+def test_gap_solves_one_half_order_stack_at_even_n(monkeypatch, n):
+    calls = record_solves(monkeypatch)
+    spectral_gap_numeric(primitive_gossip_matrix(n, 0.8))
+    assert calls == [("eigvals", (2, n // 2, n // 2))]
+
+
+@pytest.mark.parametrize("n", [3, 5, 9, 33, 61])
+@pytest.mark.parametrize("w", [0.3, 0.8])
+def test_odd_order_is_solved_whole_with_the_bits_of_eigenvalues(monkeypatch,
+                                                                 n, w):
+    m = primitive_gossip_matrix(n, w).entries
+    halves = reflection_halves(m)
+    assert halves.shape == (1, n, n) and np.array_equal(halves[0], m)
+    assert np.array_equal(split_eigenvalues(m), eigenvalues(m))
+    calls = record_solves(monkeypatch)
+    spectral_gap_numeric(m)
+    assert calls == [("eigvals", (1, n, n))]
+
+
+@pytest.mark.parametrize("n", [4, 10, 64])
+def test_one_ulp_off_the_rotation_is_solved_whole(n):
+    m = primitive_gossip_matrix(n, 0.8).entries.copy()
+    m[0, 1] = np.nextafter(m[0, 1], 1.0)
+    halves = reflection_halves(m)
+    assert halves.shape == (1, n, n) and np.array_equal(halves[0], m)
+    assert np.array_equal(split_eigenvalues(m), eigenvalues(m))
+
+
+@pytest.mark.parametrize("n", [4, 8, 30, 128])
+def test_symmetric_input_gives_symmetric_halves_for_the_symmetric_driver(
+        monkeypatch, n):
+    # Averaging a symmetric doubly stochastic matrix with its rotation
+    # makes it bit-equal to both its transpose and its rotation.
+    g = cli._oracle_matrix(n, 0.3)
+    s = (g + g[::-1, ::-1]) / 2.0
+    halves = reflection_halves(s)
+    assert halves.shape == (2, n // 2, n // 2)
+    assert np.array_equal(halves, halves.swapaxes(-1, -2))
+    calls = record_solves(monkeypatch)
+    gap = spectral_gap_numeric(s)
+    assert calls == [("eigvalsh", (2, n // 2, n // 2))]
+    whole = np.linalg.eigvalsh(s)
+    assert spectrum_match_distance(split_spectrum(s), whole) <= 1e-13
+    assert abs(gap - (1.0 - np.sort(np.abs(whole))[-2])) <= 1e-13
+
+
+def test_order_cap_is_on_the_callers_order(monkeypatch):
+    # np.eye of an even order is its own rotation, so its halves would be
+    # of order 1001, under the cap.
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("solved before the order was checked")
+
+    for name in ("eigvals", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, must_not_run)
+    big = np.eye(MAX_SPECTRUM_ORDER + 2)
+    for entry in (spectral_gap_numeric, split_eigenvalues, reflection_halves):
+        with pytest.raises(ValueError, match="exceeds"):
+            entry(big)

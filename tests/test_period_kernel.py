@@ -11,13 +11,19 @@ Proves:
   4. The greedy eigenvalue pairing is a permutation whose largest distance
      is spectrum_match_distance.
   5. The eigensolver-failure fingerprint is a stable sha256 digest, on the
-     eigenpair solve and on both eigenvalues-only solves.
+     eigenpair solve and on both eigenvalues-only solves; a split solve
+     names the matrix that was passed in, not its halves.
   6. spectrum rejects orders outside [3, MAX_SPECTRUM_ORDER] before it
      builds anything, and grid arguments are capped, rounding slack
-     included, before they expand.
+     included, before they expand.  The slack past a grid's upper bound is
+     at most half a step, and every grid the package, its tests and its
+     benchmark use expands to the values it had under the step-free slack.
 """
 import argparse
+import ast
 import hashlib
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -136,8 +142,12 @@ def test_pairing_is_a_permutation_realizing_the_match_distance():
     ("eigvals", oracle.spectral_gap_numeric,
      primitive_gossip_matrix(5, 0.3).entries),
     ("eigvalsh", oracle.spectral_gap_numeric, cli._oracle_matrix(5, 0.3)),
+    # Even order: the solve runs on the reflection halves, and the message
+    # names the matrix that was passed in.
+    ("eigvals", oracle.spectral_gap_numeric,
+     primitive_gossip_matrix(6, 0.8).entries),
 ], ids=["eig-full_spectrum", "eigvals-spectral_gap_numeric",
-        "eigvalsh-spectral_gap_numeric"])
+        "eigvalsh-spectral_gap_numeric", "eigvals-spectral_gap_numeric-split"])
 def test_eigensolver_failure_names_a_sha256_fingerprint(monkeypatch, solver,
                                                          entry, m):
     def fail(_):
@@ -210,3 +220,72 @@ def test_grid_cap_leaves_ordinary_grids_alone():
     assert len(cli._parse_grid("0.05:0.95:0.05")) == 19
     assert cli._parse_int_range("3:150") == list(range(3, 151))
     assert cli.MAX_GRID_POINTS >= 1000
+
+
+# Grids whose step is below the step-free slack, where bounding the slack by
+# half a step changed the expansion, with their values now.
+FINE_STEP_GRIDS = [
+    ("0.5:0.5:1e-13", [0.5]),
+    ("0:1e-10:3e-11", [0.0, 3e-11, 6e-11, 9e-11]),
+    ("1e6:1e6:1e-6", [1e6]),
+]
+
+
+# The grid expansion with the step-free slack hi + 1e-9 * max(1, |hi|) that
+# _parse_grid used before its slack was bounded by half a step.
+def step_free_expansion(text):
+    lo, hi, step = (float(part) for part in text.split(":"))
+    top = hi + 1e-9 * max(1.0, abs(hi))
+    values = []
+    k = 0
+    while lo + k * step <= top:
+        values.append(round(lo + k * step, 12))
+        k += 1
+    return values
+
+
+def grids_in_use():
+    """Every A:B:STEP literal in the package, the tests and the README but
+    FINE_STEP_GRIDS, and every grid the benchmark's sweep-weight commands
+    can draw."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    number = r"-?(?:\d+\.?\d*|\.\d+)(?:e-?\d+)?"
+    pattern = re.compile(rf"(?<![\w.:]){number}:{number}:{number}(?![\w.:])")
+    sources = [root / "src" / "latticegossip" / "cli.py", root / "README.md",
+               *sorted((root / "tests").glob("*.py"))]
+    texts = {t for path in sources for t in pattern.findall(path.read_text())}
+    # The benchmark draws two adjacent weights of its W_GRID (an expression
+    # evaluated here without importing the harness).
+    tree = ast.parse((root / "perfbench" / "workloads.py").read_text())
+    (w_grid,) = [node.value for node in tree.body
+                 if isinstance(node, ast.Assign)
+                 and [t.id for t in node.targets] == ["W_GRID"]]
+    ws = eval(compile(ast.Expression(w_grid), "W_GRID", "eval"))
+    texts |= {f"{a}:{b}:0.05" for a, b in zip(ws, ws[1:])}
+    return sorted(texts - {text for text, _ in FINE_STEP_GRIDS})
+
+
+def test_grids_in_use_expand_as_under_the_step_free_slack():
+    expanded = 0
+    for text in grids_in_use():
+        try:
+            values = cli._parse_grid(text)
+        except argparse.ArgumentTypeError:
+            continue  # rejected before the loop, by checks that did not change
+        assert values == step_free_expansion(text), text
+        expanded += 1
+    # Six that expand among the package's, the tests' and the README's
+    # literals, and the 18 benchmark grids.
+    assert expanded >= 24
+
+
+@pytest.mark.parametrize("text, expected", FINE_STEP_GRIDS)
+def test_grid_runs_at_most_half_a_step_past_its_bound(text, expected):
+    assert cli._parse_grid(text) == expected
+
+
+def test_fine_step_at_a_single_weight_prints_one_row(capsys):
+    assert cli.main(["sweep-weight", "--n", "5", "--w-grid",
+                     "0.5:0.5:1e-13"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2 and lines[1].startswith("5,0.5,")
