@@ -28,9 +28,13 @@ NUMERIC_RATE_MAX_N = 512
 MAX_GRID_POINTS = 1_000_000
 
 # Most bytes of matrices verify's spectra suite passes to one stacked
-# eigensolve.  Every weight of an order fits in one stack up to n = 77, so
-# the per-call cost is paid once per order; from n = 257 each matrix is
-# solved alone, so peak memory at large n stays that of one solve.
+# eigensolve, counted on what is solved: at even n, a matrix's two
+# reflection halves (half the bytes of the matrix).  Each order is solved
+# in two groups, its 13 weights w <= 1/2 and its 9 above.  A whole group
+# fits in one stack up to n = 99 (w <= 1/2) and 119 (w > 1/2) at odd n, and
+# up to n = 142 and 170 at even n, so the per-call cost is paid twice per
+# order; from n = 257 at odd n and n = 364 at even n each matrix is solved
+# alone, so peak memory at large n stays that of one solve.
 SPECTRA_STACK_BYTES = 1 << 20
 
 # Reference values reproduced by the table2 target, keyed by n.  The rows
@@ -174,13 +178,17 @@ def _oracle_matrix(n: int, w: float) -> np.ndarray:
     For w <= 1/2, each round S_k(h) at h = _root_weight(w) is the positive
     semidefinite square root of S_k(w), so W(w) has the eigenvalues of
     S1(h) S2(w) S1(h) = W(h)^T W(h).  numpy forms that product as an
-    exactly symmetric matrix, so the oracle takes its symmetric solve.
+    exactly symmetric matrix, so the oracle takes its symmetric solve.  At
+    even n it is averaged with its 180-degree rotation, which it equals in
+    exact arithmetic: the average stays bit-symmetric and is bit-equal to
+    its rotation, so the oracle splits it (oracle.reflection_halves).
     Above 1/2, S1(w) is indefinite and W(w) itself is returned.
     """
     if w > 0.5:
         return matrices.primitive_gossip_matrix(n, w).entries
     c = matrices.primitive_gossip_matrix(n, _root_weight(w)).entries
-    return c.T @ c
+    g = c.T @ c
+    return g if n % 2 else (g + g[::-1, ::-1]) / 2
 
 
 def _numeric_rate(n: int, w: float) -> float | None:
@@ -305,19 +313,28 @@ def _suite_spectra(n_max: int, seed: int) -> float:
     # The w-grid plus the link-failure weights (1-p)/2, each solved once.
     weights = sorted(set(_parse_grid("0.05:0.95:0.05"))
                      | {(1.0 - p) / 2.0 for p in _parse_grid("0:0.9:0.1")})
+    groups = ([w for w in weights if w <= 0.5],
+              [w for w in weights if w > 0.5])
     worst = 0.0
     for n in range(3, n_max + 1):
-        # An order's weights, solved in stacks of at most SPECTRA_STACK_BYTES.
-        per_stack = max(1, SPECTRA_STACK_BYTES // (8 * n * n))
-        for i in range(0, len(weights), per_stack):
-            chunk = weights[i:i + per_stack]
-            stack = np.stack([matrices.primitive_gossip_matrix(n, w).entries
-                              for w in chunk])
-            nums = oracle.full_spectrum(stack).eigenvalues
-            for w, num in zip(chunk, nums):
-                ana = pentadiag.analytic_eigenvalues(
-                    pentadiag.weighted_gossip_params(n, w)).eigenvalues
-                worst = max(worst, oracle.spectrum_match_distance(ana, num))
+        # The matrices the report path solves: each weight's _oracle_matrix,
+        # split into its reflection halves at even n.  A group (the weights
+        # on one side of 1/2, where _oracle_matrix switches) is solved in
+        # stacks of at most SPECTRA_STACK_BYTES.
+        nbytes = 8 * n * n if n % 2 else 4 * n * n
+        per_stack = max(1, SPECTRA_STACK_BYTES // nbytes)
+        for group in groups:
+            for i in range(0, len(group), per_stack):
+                chunk = group[i:i + per_stack]
+                stack = np.concatenate([oracle.reflection_halves(
+                    _oracle_matrix(n, w)) for w in chunk])
+                nums = oracle.full_spectrum(stack).eigenvalues.reshape(
+                    len(chunk), n)
+                for w, num in zip(chunk, nums):
+                    ana = pentadiag.analytic_eigenvalues(
+                        pentadiag.weighted_gossip_params(n, w)).eigenvalues
+                    worst = max(worst,
+                                oracle.spectrum_match_distance(ana, num))
     return worst
 
 

@@ -10,12 +10,12 @@ evidence, not tautology.
 
 The solver comes in two strengths.  eigenvalues() solves for the eigenvalues
 alone; the report path (spectral_gap_numeric, the CLI's numeric columns)
-reads nothing else.  An input exactly equal to its transpose goes to the
-symmetric driver (np.linalg.eigvalsh), about an eighth of the general
-solve's flops; any other input to the general one (np.linalg.eigvals).
-full_spectrum() always takes the general solve, also solves for the
-eigenvectors, and returns the eigenpair residual with the eigenvalues.  All
-share one order limit and one failure fingerprint.
+reads nothing else.  full_spectrum() also solves for the eigenvectors and
+returns the eigenpair residual with the eigenvalues.  Both send an input
+exactly equal to its transpose to the symmetric driver (np.linalg.eigvalsh,
+np.linalg.eigh), about an eighth of the general solve's flops, and any
+other input to the general one (np.linalg.eigvals, np.linalg.eig).  All
+share one symmetry test, one order limit and one failure fingerprint.
 
 Both solvers also take a (k, n, n) stack of matrices, and
 determinant_shifted takes an array of shifts; either way the whole batch is
@@ -28,11 +28,12 @@ block form [[A, B], [J B J, J A J]], and the orthogonal
 Q = [[I, I], [J, -J]] / sqrt(2) gives Q^T W Q = diag(A + B J, A - B J).
 reflection_halves() returns those two blocks of order n/2 as one stack;
 split_eigenvalues(), which spectral_gap_numeric and the CLI's spectrum
-command use, solves them in one call.  Two general solves of half the
-order cost about a quarter of one.  Any other input is solved whole.  The
-split is plain linear algebra (Cantoni and Butler, Linear Algebra Appl. 13,
-1976) and uses nothing of the closed forms.  eigenvalues() and
-full_spectrum() never split, so verify keeps its bits.
+command use, solves them in one call, and verify's spectra suite passes
+the halves of each order's matrices to full_spectrum() as one stack.  Two
+general solves of half the order cost about a quarter of one.  Any other
+input is solved whole.  The split is plain linear algebra (Cantoni and
+Butler, Linear Algebra Appl. 13, 1976) and uses nothing of the closed
+forms.  eigenvalues() and full_spectrum() themselves never split.
 """
 from __future__ import annotations
 
@@ -101,10 +102,21 @@ def _solve(a, solver, named=None):
                            f"(sha256 {digest})") from exc
 
 
+def _symmetric(m: np.ndarray) -> bool:
+    """Whether m (every matrix of a stack) is bit-equal to its transpose."""
+    return np.array_equal(m, m.swapaxes(-1, -2))
+
+
 def _eigvals(m: np.ndarray) -> np.ndarray:
-    if np.array_equal(m, m.swapaxes(-1, -2)):
+    if _symmetric(m):
         return np.linalg.eigvalsh(m)
     return np.linalg.eigvals(m)
+
+
+def _eig(m: np.ndarray):
+    if _symmetric(m):
+        return np.linalg.eigh(m)
+    return np.linalg.eig(m)
 
 
 def eigenvalues(a) -> np.ndarray:
@@ -121,16 +133,20 @@ def eigenvalues(a) -> np.ndarray:
 
 
 def full_spectrum(a) -> OracleSpectrum:
-    """All eigenvalues of a real square matrix.
+    """All eigenvalues of a real square matrix, with their eigenvectors'
+    residual.
 
-    Uses the dense general eigensolver (Hessenberg reduction followed by
-    implicitly shifted QR); complex eigenvalues of a real input come out in
-    exact conjugate pairs.  The residual reported is the largest relative
-    eigenpair defect max_i |A v_i - lam_i v_i| / ||A||_F.  A (k, n, n)
-    stack gives (k, n) eigenvalues, one row per matrix, and the largest of
-    the k residuals.
+    An exactly symmetric input (every matrix of a stack bit-equal to its
+    transpose, the same test as eigenvalues()) is solved by the symmetric
+    driver (np.linalg.eigh): real eigenvalues in ascending order.  Any
+    other input takes the dense general eigensolver (Hessenberg reduction
+    followed by implicitly shifted QR); complex eigenvalues of a real input
+    come out in exact conjugate pairs.  The residual reported is the
+    largest relative eigenpair defect max_i |A v_i - lam_i v_i| / ||A||_F
+    of the matrix solved.  A (k, n, n) stack gives (k, n) eigenvalues, one
+    row per matrix, and the largest of the k residuals.
     """
-    m, (values, vectors) = _solve(a, np.linalg.eig)
+    m, (values, vectors) = _solve(a, _eig)
     n = m.shape[-1]
     residuals = []
     # One matrix at a time: the same bits as a one-matrix call, and no

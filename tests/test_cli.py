@@ -18,7 +18,10 @@ Proves:
      traceback.
   6. verify's stacked suites return the float of a one-matrix-at-a-time
      loop, and an --n-max the spectra suite cannot solve is an error: line
-     before any suite runs.
+     before any suite runs.  The spectra suite solves the report path's
+     matrices (reflection halves of _oracle_matrix), symmetric ones with
+     the symmetric driver, and its eigenvalues lie within 1e-13 of the
+     general solve of W itself.
 """
 import csv
 import io
@@ -281,8 +284,8 @@ def looped_spectra(n_max, seed):
         for w in weights:
             ana = pentadiag.analytic_eigenvalues(
                 pentadiag.weighted_gossip_params(n, w)).eigenvalues
-            num = oracle.full_spectrum(
-                matrices.primitive_gossip_matrix(n, w)).eigenvalues
+            num = oracle.full_spectrum(oracle.reflection_halves(
+                cli._oracle_matrix(n, w))).eigenvalues
             worst = max(worst, oracle.spectrum_match_distance(ana, num))
     return worst
 
@@ -324,26 +327,85 @@ def test_stacked_suite_returns_the_float_of_the_looped_suite(scope, looped,
     assert suite(n_max, seed) == looped(n_max, seed)
 
 
+def record_suite_solves(monkeypatch):
+    """Patch the suite's matrix builder, full_spectrum and both eigenpair
+    drivers to log, per stacked solve, (n, weights, stack shape, drivers
+    called, eigenvalues)."""
+    solves, pending, drivers = [], [], []
+    build, solve = cli._oracle_matrix, oracle.full_spectrum
+
+    def building(n, w):
+        pending.append((n, w))
+        return build(n, w)
+
+    def recorded(name):
+        driver = getattr(np.linalg, name)
+
+        def run(a):
+            drivers.append(name)
+            return driver(a)
+        return run
+
+    def solving(a):
+        drivers.clear()
+        result = solve(a)
+        (n,) = {n for n, _ in pending}
+        solves.append((n, [w for _, w in pending], a.shape, list(drivers),
+                       result.eigenvalues.reshape(len(pending), n)))
+        pending.clear()
+        return result
+
+    monkeypatch.setattr(cli, "_oracle_matrix", building)
+    monkeypatch.setattr(oracle, "full_spectrum", solving)
+    for name in ("eigh", "eig"):
+        monkeypatch.setattr(np.linalg, name, recorded(name))
+    return solves
+
+
 def test_spectra_stacks_stay_within_their_byte_cap(monkeypatch):
-    # A cap of 5 matrices at n = 12 takes the suite through every regime by
-    # n = 30: one stack per order, several per order, one matrix per solve.
+    # A cap of 10 matrices at n = 12 (20 halves of order 6) takes the suite
+    # through every regime by n = 30: one stack per group, several per
+    # group, one matrix per solve.
     looped = looped_spectra(30, 0)
     cap = 5 * 8 * 12 * 12
     monkeypatch.setattr(cli, "SPECTRA_STACK_BYTES", cap)
-    solve, stacks = oracle.full_spectrum, []
-
-    def recording(a):
-        stacks.append(a.shape)
-        return solve(a)
-
-    monkeypatch.setattr(oracle, "full_spectrum", recording)
+    solves = record_suite_solves(monkeypatch)
     assert cli._suite_spectra(30, 0) == looped
     for n in range(3, 31):
-        sizes = [k for k, rows, _ in stacks if rows == n]
-        assert sum(sizes) == 22
-        assert all(k * 8 * n * n <= cap for k in sizes) or sizes == [1] * 22
-    assert {len([1 for _, rows, _ in stacks if rows == n])
-            for n in (3, 12, 30)} == {1, 5, 22}
+        stacks = [(ws, shape, drivers)
+                  for m, ws, shape, drivers, _ in solves if m == n]
+        for ws, (k, rows, cols), drivers in stacks:
+            # A matrix of even order is solved as its two halves.
+            assert (k, rows, cols) == ((2 * len(ws), n // 2, n // 2)
+                                       if n % 2 == 0 else (len(ws), n, n))
+            assert k * 8 * rows * cols <= cap or len(ws) == 1
+            # The groups: w <= 1/2 is symmetric, w > 1/2 is not.
+            assert drivers == (["eigh"] if max(ws) <= 0.5 else ["eig"])
+            assert min(ws) > 0.5 or max(ws) <= 0.5
+        assert sorted(w for ws, _, _ in stacks for w in ws) == \
+            sorted(set(cli._parse_grid("0.05:0.95:0.05"))
+                   | {(1.0 - p) / 2.0 for p in cli._parse_grid("0:0.9:0.1")})
+        assert sum(k for _, (k, _, _), _ in stacks) == \
+            (44 if n % 2 == 0 else 22)
+    assert [len([1 for m, *_ in solves if m == n])
+            for n in (3, 12, 30)] == [2, 3, 22]
+
+
+def test_spectra_suite_is_within_1e_13_of_the_unreduced_solve(monkeypatch):
+    solves = record_suite_solves(monkeypatch)
+    cli._suite_spectra(60, 0)
+    monkeypatch.undo()
+    for n in range(3, 61):
+        reduced = {w: num for m, ws, _, _, nums in solves if m == n
+                   for w, num in zip(ws, nums)}
+        assert len(reduced) == 22
+        weights = sorted(reduced)
+        full = oracle.full_spectrum(np.stack([
+            matrices.primitive_gossip_matrix(n, w).entries
+            for w in weights])).eigenvalues
+        for w, num in zip(weights, full):
+            assert oracle.spectrum_match_distance(reduced[w], num) <= 1e-13, \
+                (n, w)
 
 
 # --- argument failures ---------------------------------------------------------------------

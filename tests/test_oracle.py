@@ -28,14 +28,19 @@ Proves:
      2h(1 - h) = w within 1 ulp, the product is exactly symmetric and
      doubly stochastic on the installed numpy, its symmetric solve agrees
      with the general solve of W(w) within 1e-13, and eigenvalues() sends
-     exactly symmetric input, and only that, to the symmetric driver.
+     exactly symmetric input, and only that, to the symmetric driver;
+     full_spectrum sends symmetric input (one matrix, halves or a stack)
+     to np.linalg.eigh once, with real eigenvalues and a residual of at
+     most 1e-14.
  10. The reflection split: at even n the period matrix is bit-equal to its
      180-degree rotation, and its two half-order blocks together have W's
      spectrum within 1e-13; spectral_gap_numeric solves them as one
      (2, n/2, n/2) stack; odd n, or an even-order input one ulp off its
      rotation, is solved whole, with the bits of eigenvalues(); symmetric
-     input gives bit-symmetric halves that reach the symmetric driver; and
-     the order limit applies to the caller's order, not the halves'.
+     input gives bit-symmetric halves that reach the symmetric driver; the
+     CLI's w <= 1/2 oracle matrix is bit-equal to its rotation at every
+     even n up to 520, so it always splits; and the order limit applies
+     to the caller's order, not the halves'.
 """
 import hashlib
 import math
@@ -436,6 +441,21 @@ def test_only_exactly_symmetric_input_takes_the_symmetric_driver(monkeypatch,
     assert calls == ["eigvalsh" if symmetric else "eigvals"]
 
 
+@pytest.mark.parametrize("m", [
+    cli._oracle_matrix(7, 0.3),
+    cli._oracle_matrix(12, 0.3),
+    reflection_halves(cli._oracle_matrix(12, 0.3)),
+    np.stack([cli._oracle_matrix(9, w) for w in LOW_WEIGHTS]),
+], ids=["odd", "even", "halves", "stack"])
+def test_full_spectrum_sends_symmetric_input_to_eigh_once(monkeypatch, m):
+    calls = record_solves(monkeypatch, ("eigh", "eig"))
+    spectrum = full_spectrum(m)
+    assert calls == [("eigh", m.shape)]
+    assert spectrum.eigenvalues.dtype == float
+    assert spectrum.eigenvalues.shape == m.shape[:-1]
+    assert spectrum.residual <= 1e-14
+
+
 # --- reflection split for even n -----------------------------------------------------
 
 
@@ -463,8 +483,22 @@ def test_halves_have_the_spectrum_of_w_at_large_n(n, w):
     assert spectrum_match_distance(split_spectrum(m), eigenvalues(m)) <= 1e-13
 
 
-def record_solves(monkeypatch):
-    """Patch both eigenvalue drivers to log (name, input shape) and solve."""
+def test_oracle_matrix_below_half_is_its_own_rotation_at_even_n():
+    # Every weight at n <= 60, then one weight per order, in turn, up to
+    # past the report path's largest order.
+    for n in range(3, 521):
+        for w in (LOW_WEIGHTS if n <= 60
+                  else [LOW_WEIGHTS[n % len(LOW_WEIGHTS)]]):
+            g = cli._oracle_matrix(n, w)
+            assert np.array_equal(g, g.T), (n, w)
+            if n % 2 == 0:
+                assert np.array_equal(g, g[::-1, ::-1]), (n, w)
+                assert reflection_halves(g).shape == (2, n // 2, n // 2)
+
+
+def record_solves(monkeypatch, names=("eigvalsh", "eigvals")):
+    """Patch the named drivers (by default both eigenvalues-only ones) to
+    log (name, input shape) and solve."""
     calls = []
 
     def recorded(name):
@@ -475,7 +509,7 @@ def record_solves(monkeypatch):
             return solver(m)
         return solve
 
-    for name in ("eigvalsh", "eigvals"):
+    for name in names:
         monkeypatch.setattr(np.linalg, name, recorded(name))
     return calls
 

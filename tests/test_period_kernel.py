@@ -10,8 +10,8 @@ Proves:
      changes the arithmetic or the draw order is caught.
   4. The greedy eigenvalue pairing is a permutation whose largest distance
      is spectrum_match_distance.
-  5. The eigensolver-failure fingerprint is a stable sha256 digest, on the
-     eigenpair solve and on both eigenvalues-only solves; a split solve
+  5. The eigensolver-failure fingerprint is a stable sha256 digest, on
+     both eigenpair solves and both eigenvalues-only solves; a split solve
      names the matrix that was passed in, not its halves.
   6. spectrum rejects orders outside [3, MAX_SPECTRUM_ORDER] before it
      builds anything, and grid arguments are capped, rounding slack
@@ -146,8 +146,11 @@ def test_pairing_is_a_permutation_realizing_the_match_distance():
     # names the matrix that was passed in.
     ("eigvals", oracle.spectral_gap_numeric,
      primitive_gossip_matrix(6, 0.8).entries),
+    # A symmetric input to full_spectrum goes to the symmetric driver.
+    ("eigh", oracle.full_spectrum, cli._oracle_matrix(5, 0.3)),
 ], ids=["eig-full_spectrum", "eigvals-spectral_gap_numeric",
-        "eigvalsh-spectral_gap_numeric", "eigvals-spectral_gap_numeric-split"])
+        "eigvalsh-spectral_gap_numeric", "eigvals-spectral_gap_numeric-split",
+        "eigh-full_spectrum"])
 def test_eigensolver_failure_names_a_sha256_fingerprint(monkeypatch, solver,
                                                          entry, m):
     def fail(_):
