@@ -23,18 +23,16 @@ REPORT_FIELDS = ("n", "w", "p", "analytic_rate", "numeric_rate",
 # cross-check column (one eigenvalues-only solve per row).
 NUMERIC_RATE_MAX_N = 512
 
-# Most points a --*-range or --*-grid argument may expand to; the count is
-# checked before the list is built.
+# Most points a --*-range or --*-grid argument may expand to, and most rows
+# a report may have; each count is checked before the work it bounds.
 MAX_GRID_POINTS = 1_000_000
 
-# Most bytes of matrices verify's spectra suite passes to one stacked
-# eigensolve, counted on what is solved: at even n, a matrix's two
-# reflection halves (half the bytes of the matrix).  Each order is solved
-# in two groups, its 13 weights w <= 1/2 and its 9 above.  A whole group
-# fits in one stack up to n = 99 (w <= 1/2) and 119 (w > 1/2) at odd n, and
-# up to n = 142 and 170 at even n, so the per-call cost is paid twice per
-# order; from n = 257 at odd n and n = 364 at even n each matrix is solved
-# alone, so peak memory at large n stays that of one solve.
+# Most bytes of n x n matrices (8 n^2 each) verify's spectra suite passes
+# to one stacked eigensolve.  Each order is solved in two groups, its 13
+# weights w <= 1/2 and its 9 above.  A whole group fits in one stack up to
+# n = 100 (w <= 1/2) and 120 (w > 1/2), so the per-call cost is paid twice
+# per order; from n = 257 each matrix is solved alone, so peak memory at
+# large n stays that of one solve.
 SPECTRA_STACK_BYTES = 1 << 20
 
 # Reference values reproduced by the table2 target, keyed by n.  The rows
@@ -166,35 +164,10 @@ def _resolve_grid(args, name: str, default: list[float]) -> list[float]:
 # --- report rows -----------------------------------------------------------
 
 
-def _root_weight(w: float) -> float:
-    """For 0 <= w <= 1/2, the weight h <= 1/2 whose pair update squares to
-    the one at w: the root of 2h(1 - h) = w, written without cancellation."""
-    return w / (1.0 + math.sqrt(1.0 - 2.0 * w))
-
-
-def _oracle_matrix(n: int, w: float) -> np.ndarray:
-    """A matrix with the eigenvalues of the period matrix W(w) = S2 S1.
-
-    For w <= 1/2, each round S_k(h) at h = _root_weight(w) is the positive
-    semidefinite square root of S_k(w), so W(w) has the eigenvalues of
-    S1(h) S2(w) S1(h) = W(h)^T W(h).  numpy forms that product as an
-    exactly symmetric matrix, so the oracle takes its symmetric solve.  At
-    even n it is averaged with its 180-degree rotation, which it equals in
-    exact arithmetic: the average stays bit-symmetric and is bit-equal to
-    its rotation, so the oracle splits it (oracle.reflection_halves).
-    Above 1/2, S1(w) is indefinite and W(w) itself is returned.
-    """
-    if w > 0.5:
-        return matrices.primitive_gossip_matrix(n, w).entries
-    c = matrices.primitive_gossip_matrix(n, _root_weight(w)).entries
-    g = c.T @ c
-    return g if n % 2 else (g + g[::-1, ::-1]) / 2
-
-
 def _numeric_rate(n: int, w: float) -> float | None:
     if n > NUMERIC_RATE_MAX_N:
         return None
-    return oracle.spectral_gap_numeric(_oracle_matrix(n, w))
+    return oracle.spectral_gap_numeric(oracle.isospectral_matrix(n, w))
 
 
 def _report_row(n: int, w: float | None = None, p: float | None = None,
@@ -219,6 +192,9 @@ def _report_row(n: int, w: float | None = None, p: float | None = None,
 def _write_report(args, ns: list[int], name: str, values: list[float]) -> int:
     if min(ns) < 3:
         raise SystemExit(f"error: need n >= 3, got n={min(ns)}")
+    if len(ns) * len(values) > MAX_GRID_POINTS:
+        raise SystemExit(f"error: {len(ns)} orders times {len(values)} "
+                         f"values make more than {MAX_GRID_POINTS} rows")
     rows = [_report_row(n, **{name: v}) for n in ns for v in values]
     write_rows(rows, REPORT_FIELDS, args.out, args.format)
     return 0
@@ -288,7 +264,8 @@ def cmd_spectrum(args) -> int:
     w = value if kind == "w" else (1.0 - value) / 2.0
     analytic = pentadiag.analytic_eigenvalues(
         pentadiag.weighted_gossip_params(n, w)).eigenvalues
-    numeric = oracle.split_eigenvalues(_oracle_matrix(n, w)).astype(complex)
+    numeric = oracle.eigenvalues(
+        oracle.isospectral_matrix(n, w)).astype(complex)
 
     order = np.lexsort((analytic.imag, analytic.real, -np.abs(analytic)))
     analytic = analytic[order]
@@ -317,19 +294,16 @@ def _suite_spectra(n_max: int, seed: int) -> float:
               [w for w in weights if w > 0.5])
     worst = 0.0
     for n in range(3, n_max + 1):
-        # The matrices the report path solves: each weight's _oracle_matrix,
-        # split into its reflection halves at even n.  A group (the weights
-        # on one side of 1/2, where _oracle_matrix switches) is solved in
-        # stacks of at most SPECTRA_STACK_BYTES.
-        nbytes = 8 * n * n if n % 2 else 4 * n * n
-        per_stack = max(1, SPECTRA_STACK_BYTES // nbytes)
+        # The matrices the report path solves, oracle.isospectral_matrix.  A
+        # group (the weights on one side of 1/2, where that matrix switches)
+        # is solved in stacks of at most SPECTRA_STACK_BYTES.
+        per_stack = max(1, SPECTRA_STACK_BYTES // (8 * n * n))
         for group in groups:
             for i in range(0, len(group), per_stack):
                 chunk = group[i:i + per_stack]
-                stack = np.concatenate([oracle.reflection_halves(
-                    _oracle_matrix(n, w)) for w in chunk])
-                nums = oracle.full_spectrum(stack).eigenvalues.reshape(
-                    len(chunk), n)
+                stack = np.stack([oracle.isospectral_matrix(n, w)
+                                  for w in chunk])
+                nums = oracle.full_spectrum(stack).eigenvalues
                 for w, num in zip(chunk, nums):
                     ana = pentadiag.analytic_eigenvalues(
                         pentadiag.weighted_gossip_params(n, w)).eigenvalues

@@ -15,33 +15,35 @@ returns the eigenpair residual with the eigenvalues.  Both send an input
 exactly equal to its transpose to the symmetric driver (np.linalg.eigvalsh,
 np.linalg.eigh), about an eighth of the general solve's flops, and any
 other input to the general one (np.linalg.eigvals, np.linalg.eig).  All
-share one symmetry test, one order limit and one failure fingerprint.
+share one split, one symmetry test, one order limit and one failure
+fingerprint.
 
 Both solvers also take a (k, n, n) stack of matrices, and
 determinant_shifted takes an array of shifts; either way the whole batch is
 one LAPACK call that runs the same routine on each matrix, so every entry
 has the bits of its own one-matrix call.
 
-The report path splits before it solves.  A matrix W of even order n that
-is bit-equal to its 180-degree rotation J W J (J the reversal) has the
-block form [[A, B], [J B J, J A J]], and the orthogonal
+Both solvers split before they solve.  A matrix W of even order n that is
+bit-equal to its 180-degree rotation J W J (J the reversal) has the block
+form [[A, B], [J B J, J A J]], and the orthogonal
 Q = [[I, I], [J, -J]] / sqrt(2) gives Q^T W Q = diag(A + B J, A - B J).
-reflection_halves() returns those two blocks of order n/2 as one stack;
-split_eigenvalues(), which spectral_gap_numeric and the CLI's spectrum
-command use, solves them in one call, and verify's spectra suite passes
-the halves of each order's matrices to full_spectrum() as one stack.  Two
-general solves of half the order cost about a quarter of one.  Any other
-input is solved whole.  The split is plain linear algebra (Cantoni and
-Butler, Linear Algebra Appl. 13, 1976) and uses nothing of the closed
-forms.  eigenvalues() and full_spectrum() themselves never split.
+reflection_halves() returns those two blocks of order n/2, and the solvers
+solve them in place of W: two general solves of half the order cost about
+a quarter of one.  A stack splits only if every matrix in it does, and is
+otherwise solved whole, as is any other input.  The split is plain linear
+algebra (Cantoni and Butler, Linear Algebra Appl. 13, 1976) and uses
+nothing of the closed forms.
+
+isospectral_matrix(n, w) builds the matrix the CLI solves for W(w).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .matrices import optimal_schedule, pair_update_matrix
+from . import matrices
 
 MAX_SPECTRUM_ORDER = 2000
 
@@ -74,29 +76,33 @@ def determinant_shifted(a, lam):
     return complex(dets) if lams.ndim == 0 else dets
 
 
-def _check_order(n: int) -> None:
-    if n > MAX_SPECTRUM_ORDER:
-        raise ValueError(
-            f"matrix order {n} exceeds the supported {MAX_SPECTRUM_ORDER}")
-
-
-def _solve(a, solver, named=None):
-    """(m, solver(m)) for a as a square float array m, or a (k, n, n) stack
-    of them, within the order limit.  A convergence failure names by a
-    sha256 prefix the matrix `named` (the one m was derived from), else m."""
+def _as_matrices(a) -> np.ndarray:
+    """a as a nonempty square float array, or a (k, n, n) stack of them,
+    within the order limit."""
     m = np.asarray(getattr(a, "entries", a), dtype=float)
     if m.ndim != 3 or m.shape[1] != m.shape[2]:
         m = _as_square_array(m)
-    _check_order(m.shape[-1])
+    if m.size == 0:
+        raise ValueError(f"expected a nonempty matrix or stack, got shape "
+                         f"{m.shape}")
+    if m.shape[-1] > MAX_SPECTRUM_ORDER:
+        raise ValueError(f"matrix order {m.shape[-1]} exceeds the supported "
+                         f"{MAX_SPECTRUM_ORDER}")
+    return m
+
+
+def _solve(a, solver):
+    """(m, s, solver(s)) for a as m (see _as_matrices) and s its
+    reflection_halves.  A convergence failure names m by a sha256 prefix."""
+    m = _as_matrices(a)
+    solved = reflection_halves(m)
     try:
-        return m, solver(m)
+        return m, solved, solver(solved)
     except np.linalg.LinAlgError as exc:
         import hashlib  # only on this path: keeps package import fast
-        if named is None:
-            named = m
-        n = named.shape[-1]
-        digest = hashlib.sha256(named.tobytes()).hexdigest()[:16]
-        what = (f"stack of {len(named)} {n}x{n} matrices" if named.ndim == 3
+        n = m.shape[-1]
+        digest = hashlib.sha256(m.tobytes()).hexdigest()[:16]
+        what = (f"stack of {len(m)} {n}x{n} matrices" if m.ndim == 3
                 else f"{n}x{n} matrix")
         raise RuntimeError(f"eigensolver failed to converge on the {what} "
                            f"(sha256 {digest})") from exc
@@ -122,41 +128,43 @@ def _eig(m: np.ndarray):
 def eigenvalues(a) -> np.ndarray:
     """All eigenvalues of a real square matrix, without eigenvectors.
 
-    An exactly symmetric input (every matrix of a stack bit-equal to its
-    transpose) is solved by the symmetric driver: real eigenvalues in
-    ascending order.  Any other input takes the same Hessenberg-plus-QR
+    The input is solved as its reflection_halves.  An exactly symmetric
+    input (every matrix of a stack bit-equal to its transpose) is solved by
+    the symmetric driver: real eigenvalues in ascending order, per half
+    where it splits.  Any other input takes the same Hessenberg-plus-QR
     solve as full_spectrum, run for the eigenvalues only: complex
     eigenvalues come out in exact conjugate pairs.  No residual is
-    computed.  A (k, n, n) stack gives a (k, n) array, one row per matrix.
+    computed.  A (k, n, n) stack gives a (k, n) array, one row per matrix;
+    a split matrix's row holds the eigenvalues of A + B J, then of A - B J.
     """
-    return _solve(a, _eigvals)[1]
+    m, _, values = _solve(a, _eigvals)
+    return values.reshape(m.shape[:-1])
 
 
 def full_spectrum(a) -> OracleSpectrum:
     """All eigenvalues of a real square matrix, with their eigenvectors'
     residual.
 
-    An exactly symmetric input (every matrix of a stack bit-equal to its
-    transpose, the same test as eigenvalues()) is solved by the symmetric
-    driver (np.linalg.eigh): real eigenvalues in ascending order.  Any
-    other input takes the dense general eigensolver (Hessenberg reduction
-    followed by implicitly shifted QR); complex eigenvalues of a real input
-    come out in exact conjugate pairs.  The residual reported is the
+    The input is split and routed as in eigenvalues(): an exactly
+    symmetric input is solved by the symmetric driver (np.linalg.eigh),
+    any other by the dense general eigensolver (Hessenberg reduction
+    followed by implicitly shifted QR).  The residual reported is the
     largest relative eigenpair defect max_i |A v_i - lam_i v_i| / ||A||_F
-    of the matrix solved.  A (k, n, n) stack gives (k, n) eigenvalues, one
-    row per matrix, and the largest of the k residuals.
+    over the matrices solved (the halves, where the input splits).  A
+    (k, n, n) stack gives (k, n) eigenvalues, one row per matrix, and the
+    largest of the residuals.
     """
-    m, (values, vectors) = _solve(a, _eig)
-    n = m.shape[-1]
+    m, solved, (values, vectors) = _solve(a, _eig)
+    n = solved.shape[-1]
     residuals = []
     # One matrix at a time: the same bits as a one-matrix call, and no
     # stack-sized temporaries.
-    for x, lams, vecs in zip(m.reshape(-1, n, n), values.reshape(-1, n),
+    for x, lams, vecs in zip(solved.reshape(-1, n, n), values.reshape(-1, n),
                              vectors.reshape(-1, n, n)):
         defect = x.astype(complex) @ vecs - vecs * lams
         scale = max(float(np.linalg.norm(x)), 1e-300)
         residuals.append(np.linalg.norm(defect, axis=0).max() / scale)
-    return OracleSpectrum(eigenvalues=values,
+    return OracleSpectrum(eigenvalues=values.reshape(m.shape[:-1]),
                           residual=float(np.max(residuals)))
 
 
@@ -186,11 +194,12 @@ def enumerate_failure_expectation(n: int, p: float) -> np.ndarray:
     # matrix is an explicit stack, not a broadcast operand, so each product
     # is a plain (n, n) @ (n, n) matmul as in a per-pattern loop.
     periods = np.repeat(np.eye(n)[None], masks.size, axis=0)
-    sched = optimal_schedule(n)
+    sched = matrices.optimal_schedule(n)
     for pair in sched.e1 + sched.e2:
         up = np.flatnonzero((masks >> (pair.i - 1) & 1) == 0)
-        pair_stack = np.repeat(pair_update_matrix(n, pair, 0.5).entries[None],
-                               up.size, axis=0)
+        pair_stack = np.repeat(
+            matrices.pair_update_matrix(n, pair, 0.5).entries[None],
+            up.size, axis=0)
         periods[up] = pair_stack @ periods[up]
     # Weight each product, then sum in mask order: accumulate adds
     # sequentially along the pattern axis, as a running total would.
@@ -202,38 +211,52 @@ def enumerate_failure_expectation(n: int, p: float) -> np.ndarray:
 def reflection_halves(a) -> np.ndarray:
     """The (2, n/2, n/2) stack [A + B J, A - B J] of a matrix of even order
     n that is bit-equal to its 180-degree rotation, whose eigenvalues
-    together are those of the matrix; any other input as a one-matrix stack.
+    together are those of the matrix; any other input unchanged.
 
-    A bit-symmetric input gives bit-symmetric halves.  The order limit of
-    the solvers applies to the input's order, not to the halves'.
+    A (k, n, n) stack splits into (2k, n/2, n/2), each matrix's two halves
+    in turn, if every matrix in it splits.  A bit-symmetric input gives
+    bit-symmetric halves.  The order limit of the solvers applies to the
+    input's order, not to the halves'.
     """
-    m = _as_square_array(a)
-    n = m.shape[0]
-    _check_order(n)
-    if n % 2 or not np.array_equal(m, m[::-1, ::-1]):
-        return m[None]
+    m = _as_matrices(a)
+    n = m.shape[-1]
+    if n % 2 or not np.array_equal(m, m[..., ::-1, ::-1]):
+        return m
     h = n // 2
-    top, bj = m[:h, :h], m[:h, h:][:, ::-1]
-    return np.stack([top + bj, top - bj])
+    top, bj = m[..., :h, :h], m[..., :h, h:][..., ::-1]
+    return np.stack([top + bj, top - bj], axis=-3).reshape(-1, h, h)
 
 
-def split_eigenvalues(a) -> np.ndarray:
-    """All eigenvalues of a real square matrix, as eigenvalues() gives them
-    for its reflection_halves, solved in one call and concatenated.  A
-    convergence failure names the input matrix, not the halves."""
-    m = _as_square_array(a)
-    return _solve(reflection_halves(m), _eigvals, named=m)[1].ravel()
+def isospectral_matrix(n: int, w: float) -> np.ndarray:
+    """A matrix with the eigenvalues of the period matrix W(w) = S2 S1.
+
+    For w <= 1/2, each round S_k(h) at h = w / (1 + sqrt(1 - 2w)), the root
+    of 2h(1 - h) = w written without cancellation, is the positive
+    semidefinite square root of S_k(w), so W(w) has the eigenvalues of
+    S1(h) S2(w) S1(h) = W(h)^T W(h).  numpy forms that product as an
+    exactly symmetric matrix, so the solvers take the symmetric driver.  At
+    even n it is averaged with its 180-degree rotation, which it equals in
+    exact arithmetic: the average stays bit-symmetric and is bit-equal to
+    its rotation, so the solvers split it.  Above 1/2, S1(w) is indefinite
+    and W(w) itself is returned.
+    """
+    if w > 0.5:
+        return matrices.primitive_gossip_matrix(n, w).entries
+    h = w / (1.0 + math.sqrt(1.0 - 2.0 * w))
+    c = matrices.primitive_gossip_matrix(n, h).entries
+    g = c.T @ c
+    return g if n % 2 else (g + g[::-1, ::-1]) / 2
 
 
 def spectral_gap_numeric(a) -> float:
     """1 - (second largest eigenvalue modulus) of a doubly stochastic
-    matrix, from split_eigenvalues."""
+    matrix, from eigenvalues()."""
     m = _as_square_array(a)
     ones = np.ones(m.shape[0])
     if np.abs(m @ ones - ones).max() > 1e-9 or \
             np.abs(m.T @ ones - ones).max() > 1e-9:
         raise ValueError("matrix is not doubly stochastic")
-    eigs = split_eigenvalues(m)
+    eigs = eigenvalues(m)
     idx = int(np.argmin(np.abs(eigs - 1.0)))
     rest = np.delete(eigs, idx)
     if rest.size == 0:

@@ -13,14 +13,16 @@ Proves:
      link-failure row among them) run with the general solver disabled,
      and rows at w > 1/2 with the symmetric one disabled.  At even n the
      general solver sees nothing larger than a half-order block.
-  5. Bad sizes, bad simulator settings and an --out path that cannot be
-     written end in an error: line before any row is computed, never in a
-     traceback.
+  5. Bad sizes, bad simulator settings, a report of more rows than
+     MAX_GRID_POINTS and an --out path that cannot be written end in an
+     error: line before any row is computed, never in a traceback.
   6. verify's stacked suites return the float of a one-matrix-at-a-time
      loop, and an --n-max the spectra suite cannot solve is an error: line
-     before any suite runs.  The spectra suite solves the report path's
-     matrices (reflection halves of _oracle_matrix), symmetric ones with
-     the symmetric driver, and its eigenvalues lie within 1e-13 of the
+     before any suite runs.  The spectra suite passes full_spectrum the
+     report path's matrices (oracle.isospectral_matrix), in stacks of at
+     most SPECTRA_STACK_BYTES at 8 n^2 bytes a matrix; the solver splits
+     each even-order stack into its halves and sends symmetric ones to the
+     symmetric driver; and the suite's eigenvalues lie within 1e-13 of the
      general solve of W itself.
 """
 import csv
@@ -284,8 +286,8 @@ def looped_spectra(n_max, seed):
         for w in weights:
             ana = pentadiag.analytic_eigenvalues(
                 pentadiag.weighted_gossip_params(n, w)).eigenvalues
-            num = oracle.full_spectrum(oracle.reflection_halves(
-                cli._oracle_matrix(n, w))).eigenvalues
+            num = oracle.full_spectrum(
+                oracle.isospectral_matrix(n, w)).eigenvalues
             worst = max(worst, oracle.spectrum_match_distance(ana, num))
     return worst
 
@@ -329,10 +331,10 @@ def test_stacked_suite_returns_the_float_of_the_looped_suite(scope, looped,
 
 def record_suite_solves(monkeypatch):
     """Patch the suite's matrix builder, full_spectrum and both eigenpair
-    drivers to log, per stacked solve, (n, weights, stack shape, drivers
-    called, eigenvalues)."""
+    drivers to log, per stacked solve, (n, weights, stack shape, driver
+    calls as (name, shape), eigenvalues)."""
     solves, pending, drivers = [], [], []
-    build, solve = cli._oracle_matrix, oracle.full_spectrum
+    build, solve = oracle.isospectral_matrix, oracle.full_spectrum
 
     def building(n, w):
         pending.append((n, w))
@@ -342,7 +344,7 @@ def record_suite_solves(monkeypatch):
         driver = getattr(np.linalg, name)
 
         def run(a):
-            drivers.append(name)
+            drivers.append((name, a.shape))
             return driver(a)
         return run
 
@@ -351,11 +353,11 @@ def record_suite_solves(monkeypatch):
         result = solve(a)
         (n,) = {n for n, _ in pending}
         solves.append((n, [w for _, w in pending], a.shape, list(drivers),
-                       result.eigenvalues.reshape(len(pending), n)))
+                       result.eigenvalues))
         pending.clear()
         return result
 
-    monkeypatch.setattr(cli, "_oracle_matrix", building)
+    monkeypatch.setattr(oracle, "isospectral_matrix", building)
     monkeypatch.setattr(oracle, "full_spectrum", solving)
     for name in ("eigh", "eig"):
         monkeypatch.setattr(np.linalg, name, recorded(name))
@@ -363,9 +365,9 @@ def record_suite_solves(monkeypatch):
 
 
 def test_spectra_stacks_stay_within_their_byte_cap(monkeypatch):
-    # A cap of 10 matrices at n = 12 (20 halves of order 6) takes the suite
-    # through every regime by n = 30: one stack per group, several per
-    # group, one matrix per solve.
+    # A cap of 5 matrices at n = 12 takes the suite through every regime
+    # by n = 30: one stack per group, several per group, one matrix per
+    # solve.
     looped = looped_spectra(30, 0)
     cap = 5 * 8 * 12 * 12
     monkeypatch.setattr(cli, "SPECTRA_STACK_BYTES", cap)
@@ -374,21 +376,20 @@ def test_spectra_stacks_stay_within_their_byte_cap(monkeypatch):
     for n in range(3, 31):
         stacks = [(ws, shape, drivers)
                   for m, ws, shape, drivers, _ in solves if m == n]
-        for ws, (k, rows, cols), drivers in stacks:
-            # A matrix of even order is solved as its two halves.
-            assert (k, rows, cols) == ((2 * len(ws), n // 2, n // 2)
-                                       if n % 2 == 0 else (len(ws), n, n))
-            assert k * 8 * rows * cols <= cap or len(ws) == 1
+        for ws, shape, drivers in stacks:
+            k = len(ws)
+            assert shape == (k, n, n)
+            assert k * 8 * n * n <= cap or k == 1
+            # The solver splits a stack of even order into its halves.
+            solved = (2 * k, n // 2, n // 2) if n % 2 == 0 else shape
             # The groups: w <= 1/2 is symmetric, w > 1/2 is not.
-            assert drivers == (["eigh"] if max(ws) <= 0.5 else ["eig"])
+            assert drivers == [("eigh" if max(ws) <= 0.5 else "eig", solved)]
             assert min(ws) > 0.5 or max(ws) <= 0.5
         assert sorted(w for ws, _, _ in stacks for w in ws) == \
             sorted(set(cli._parse_grid("0.05:0.95:0.05"))
                    | {(1.0 - p) / 2.0 for p in cli._parse_grid("0:0.9:0.1")})
-        assert sum(k for _, (k, _, _), _ in stacks) == \
-            (44 if n % 2 == 0 else 22)
     assert [len([1 for m, *_ in solves if m == n])
-            for n in (3, 12, 30)] == [2, 3, 22]
+            for n in (3, 12, 30)] == [2, 5, 22]
 
 
 def test_spectra_suite_is_within_1e_13_of_the_unreduced_solve(monkeypatch):
@@ -400,9 +401,10 @@ def test_spectra_suite_is_within_1e_13_of_the_unreduced_solve(monkeypatch):
                    for w, num in zip(ws, nums)}
         assert len(reduced) == 22
         weights = sorted(reduced)
-        full = oracle.full_spectrum(np.stack([
+        # numpy's general solve of each whole W: the solvers would split it.
+        full = np.linalg.eigvals(np.stack([
             matrices.primitive_gossip_matrix(n, w).entries
-            for w in weights])).eigenvalues
+            for w in weights]))
         for w, num in zip(weights, full):
             assert oracle.spectrum_match_distance(reduced[w], num) <= 1e-13, \
                 (n, w)
@@ -547,6 +549,33 @@ def test_bad_size_or_setting_is_an_error_line(monkeypatch, argv):
     monkeypatch.setattr(cli, "_report_row", must_not_run)
     monkeypatch.setattr(cli.sim, "_run", must_not_run)
     assert error_exit(argv.split()).startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    "rate --n-range 3:1000002 --w-grid 0.05:0.95:0.05",
+    "sweep-n --n-range 3:500003 --w-grid 0.1:0.2:0.1",
+    "link-failure --n-range 3:333336 --p-grid 0:1:0.5",
+])
+def test_report_of_more_rows_than_the_grid_cap_is_an_error_line(monkeypatch,
+                                                                argv):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("eigensolver called before the row count was "
+                             "checked")
+
+    for name in ("eigvals", "eigvalsh", "eig", "eigh"):
+        monkeypatch.setattr(np.linalg, name, must_not_run)
+    message = error_exit(argv.split())
+    assert message.startswith("error:")
+    assert str(cli.MAX_GRID_POINTS) in message
+
+
+def test_report_of_exactly_the_grid_cap_rows_is_accepted(monkeypatch):
+    def first_row(*args, **kwargs):
+        raise AssertionError("first row")
+
+    monkeypatch.setattr(cli, "_report_row", first_row)
+    with pytest.raises(AssertionError, match="first row"):
+        main("rate --n-range 3:500002 --w-grid 0.1:0.2:0.1".split())
 
 
 @pytest.mark.parametrize("row_builder, argv", [

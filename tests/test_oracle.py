@@ -24,23 +24,28 @@ Proves:
      the largest of their residuals; an array of shifts gives the bits of
      its one-shift determinants; a failed stack solve names its sha256
      digest; the one-matrix entry points still reject a stack.
-  9. For w <= 1/2 the CLI's oracle matrix W(h)^T W(h) stands in for W(w):
+  9. For w <= 1/2 isospectral_matrix's W(h)^T W(h) stands in for W(w): it
+     builds W(h) through matrices.primitive_gossip_matrix with
      2h(1 - h) = w within 1 ulp, the product is exactly symmetric and
      doubly stochastic on the installed numpy, its symmetric solve agrees
-     with the general solve of W(w) within 1e-13, and eigenvalues() sends
-     exactly symmetric input, and only that, to the symmetric driver;
-     full_spectrum sends symmetric input (one matrix, halves or a stack)
-     to np.linalg.eigh once, with real eigenvalues and a residual of at
-     most 1e-14.
- 10. The reflection split: at even n the period matrix is bit-equal to its
-     180-degree rotation, and its two half-order blocks together have W's
-     spectrum within 1e-13; spectral_gap_numeric solves them as one
-     (2, n/2, n/2) stack; odd n, or an even-order input one ulp off its
-     rotation, is solved whole, with the bits of eigenvalues(); symmetric
-     input gives bit-symmetric halves that reach the symmetric driver; the
-     CLI's w <= 1/2 oracle matrix is bit-equal to its rotation at every
-     even n up to 520, so it always splits; and the order limit applies
-     to the caller's order, not the halves'.
+     with the general solve of the whole W(w) within 1e-13, and
+     eigenvalues() sends exactly symmetric input, and only that, to the
+     symmetric driver; full_spectrum sends symmetric input (one matrix of
+     odd or even order, halves or a stack) to np.linalg.eigh once, split
+     where it splits, with real eigenvalues and a residual of at most
+     1e-14.
+ 10. The reflection split, inside both solvers: at even n the period
+     matrix is bit-equal to its 180-degree rotation, and the eigenvalues
+     of its two half-order blocks together lie within 1e-13 of the whole
+     matrix's general solve; spectral_gap_numeric and a stack solve them
+     in one call of (2k, n/2, n/2); odd n, an even-order input one ulp off
+     its rotation, or a stack that mixes the two, is solved whole, with
+     the bits of the whole matrix's np.linalg.eigvals; symmetric input
+     gives bit-symmetric halves that reach the symmetric driver;
+     isospectral_matrix below 1/2 is bit-equal to its rotation at every
+     even n up to 520, so it always splits; the order limit applies to
+     the caller's order, not the halves'; and an empty matrix or stack is
+     a ValueError.
 """
 import hashlib
 import math
@@ -53,8 +58,8 @@ from latticegossip.matrices import (expected_failure_matrix, optimal_schedule,
                                     pair_update_matrix, primitive_gossip_matrix)
 from latticegossip.oracle import (MAX_SPECTRUM_ORDER, determinant_shifted,
                                   eigenvalues, enumerate_failure_expectation,
-                                  full_spectrum, reflection_halves,
-                                  spectral_gap_numeric, split_eigenvalues,
+                                  full_spectrum, isospectral_matrix,
+                                  reflection_halves, spectral_gap_numeric,
                                   spectrum_match_distance)
 from latticegossip.pentadiag import (PentaParams, charpoly_bb, charpoly_bb_bd,
                                      charpoly_bd_bd, penta_matrix,
@@ -377,8 +382,18 @@ LOW_WEIGHTS = [w for w in VERIFY_WEIGHTS if w <= 0.5]
 
 
 @pytest.mark.parametrize("w", [0.0, 1e-300, 1e-12] + LOW_WEIGHTS)
-def test_root_weight_solves_the_pair_square(w):
-    h = cli._root_weight(w)
+def test_root_weight_solves_the_pair_square(monkeypatch, w):
+    # W(h) is built through the module attribute, where the benchmark's
+    # tracer counts matrix builds.
+    weights, build = [], matrices.primitive_gossip_matrix
+
+    def building(n, h):
+        weights.append(h)
+        return build(n, h)
+
+    monkeypatch.setattr(matrices, "primitive_gossip_matrix", building)
+    isospectral_matrix(5, w)
+    (h,) = weights
     assert 0.0 <= h <= 0.5
     assert abs(2.0 * h * (1.0 - h) - w) <= math.ulp(w)
 
@@ -390,7 +405,7 @@ def test_oracle_matrix_is_exactly_symmetric_and_doubly_stochastic():
         ones = np.ones(n)
         for w in (LOW_WEIGHTS if n <= 60
                   else [LOW_WEIGHTS[n % len(LOW_WEIGHTS)]]):
-            g = cli._oracle_matrix(n, w)
+            g = isospectral_matrix(n, w)
             assert np.array_equal(g, g.T), (n, w)
             assert np.abs(g @ ones - ones).max() <= 1e-12, (n, w)
 
@@ -398,23 +413,22 @@ def test_oracle_matrix_is_exactly_symmetric_and_doubly_stochastic():
 def test_oracle_matrix_has_the_spectrum_of_w_up_to_n_60():
     for n in range(3, 61):
         for w in LOW_WEIGHTS:
-            gram = eigenvalues(cli._oracle_matrix(n, w))
+            gram = eigenvalues(isospectral_matrix(n, w))
             assert gram.dtype == float
-            assert spectrum_match_distance(
-                gram, eigenvalues(primitive_gossip_matrix(n, w))) <= 1e-13, \
-                (n, w)
+            assert spectrum_match_distance(gram, np.linalg.eigvals(
+                primitive_gossip_matrix(n, w).entries)) <= 1e-13, (n, w)
 
 
 @pytest.mark.parametrize("n", [127, 224, 512])
 @pytest.mark.parametrize("w", [0.05, 0.1, 0.3, 0.5])
 def test_oracle_matrix_has_the_spectrum_of_w_at_large_n(n, w):
     assert spectrum_match_distance(
-        eigenvalues(cli._oracle_matrix(n, w)),
-        eigenvalues(primitive_gossip_matrix(n, w))) <= 1e-13
+        eigenvalues(isospectral_matrix(n, w)),
+        np.linalg.eigvals(primitive_gossip_matrix(n, w).entries)) <= 1e-13
 
 
 def test_oracle_matrix_above_half_is_the_period_matrix():
-    assert np.array_equal(cli._oracle_matrix(9, 0.8),
+    assert np.array_equal(isospectral_matrix(9, 0.8),
                           primitive_gossip_matrix(9, 0.8).entries)
 
 
@@ -433,7 +447,7 @@ def test_only_exactly_symmetric_input_takes_the_symmetric_driver(monkeypatch,
 
     for name in ("eigvalsh", "eigvals"):
         monkeypatch.setattr(np.linalg, name, recorded(name))
-    g = cli._oracle_matrix(7, 0.3)
+    g = isospectral_matrix(7, 0.3)
     if not symmetric:
         g = g.copy()
         g[0, 1] = np.nextafter(g[0, 1], 1.0)
@@ -441,16 +455,20 @@ def test_only_exactly_symmetric_input_takes_the_symmetric_driver(monkeypatch,
     assert calls == ["eigvalsh" if symmetric else "eigvals"]
 
 
-@pytest.mark.parametrize("m", [
-    cli._oracle_matrix(7, 0.3),
-    cli._oracle_matrix(12, 0.3),
-    reflection_halves(cli._oracle_matrix(12, 0.3)),
-    np.stack([cli._oracle_matrix(9, w) for w in LOW_WEIGHTS]),
-], ids=["odd", "even", "halves", "stack"])
-def test_full_spectrum_sends_symmetric_input_to_eigh_once(monkeypatch, m):
+@pytest.mark.parametrize("m, solved", [
+    (isospectral_matrix(7, 0.3), (7, 7)),
+    (isospectral_matrix(12, 0.3), (2, 6, 6)),
+    (reflection_halves(isospectral_matrix(12, 0.3)), (2, 6, 6)),
+    (np.stack([isospectral_matrix(9, w) for w in LOW_WEIGHTS]),
+     (len(LOW_WEIGHTS), 9, 9)),
+    (np.stack([isospectral_matrix(10, w) for w in LOW_WEIGHTS]),
+     (2 * len(LOW_WEIGHTS), 5, 5)),
+], ids=["odd", "even", "halves", "stack", "even-stack"])
+def test_full_spectrum_sends_symmetric_input_to_eigh_once(monkeypatch, m,
+                                                          solved):
     calls = record_solves(monkeypatch, ("eigh", "eig"))
     spectrum = full_spectrum(m)
-    assert calls == [("eigh", m.shape)]
+    assert calls == [("eigh", solved)]
     assert spectrum.eigenvalues.dtype == float
     assert spectrum.eigenvalues.shape == m.shape[:-1]
     assert spectrum.residual <= 1e-14
@@ -459,8 +477,8 @@ def test_full_spectrum_sends_symmetric_input_to_eigh_once(monkeypatch, m):
 # --- reflection split for even n -----------------------------------------------------
 
 
-def split_spectrum(m):
-    return eigenvalues(reflection_halves(m)).ravel()
+# eigenvalues() splits what splits, so the references below solve the whole
+# matrix with numpy directly.
 
 
 def test_halves_have_the_spectrum_of_w_up_to_n_60():
@@ -471,8 +489,8 @@ def test_halves_have_the_spectrum_of_w_up_to_n_60():
             if n % 2 == 0:
                 assert np.array_equal(m, m[::-1, ::-1]), (n, w)
                 assert halves.shape == (2, n // 2, n // 2), (n, w)
-            assert spectrum_match_distance(split_spectrum(m),
-                                           eigenvalues(m)) <= 1e-13, (n, w)
+            assert spectrum_match_distance(
+                eigenvalues(m), np.linalg.eigvals(m)) <= 1e-13, (n, w)
 
 
 @pytest.mark.parametrize("n", [128, 224, 320, 416, 512])
@@ -480,7 +498,8 @@ def test_halves_have_the_spectrum_of_w_up_to_n_60():
 def test_halves_have_the_spectrum_of_w_at_large_n(n, w):
     m = primitive_gossip_matrix(n, w).entries
     assert reflection_halves(m).shape == (2, n // 2, n // 2)
-    assert spectrum_match_distance(split_spectrum(m), eigenvalues(m)) <= 1e-13
+    assert spectrum_match_distance(eigenvalues(m),
+                                   np.linalg.eigvals(m)) <= 1e-13
 
 
 def test_oracle_matrix_below_half_is_its_own_rotation_at_even_n():
@@ -489,7 +508,7 @@ def test_oracle_matrix_below_half_is_its_own_rotation_at_even_n():
     for n in range(3, 521):
         for w in (LOW_WEIGHTS if n <= 60
                   else [LOW_WEIGHTS[n % len(LOW_WEIGHTS)]]):
-            g = cli._oracle_matrix(n, w)
+            g = isospectral_matrix(n, w)
             assert np.array_equal(g, g.T), (n, w)
             if n % 2 == 0:
                 assert np.array_equal(g, g[::-1, ::-1]), (n, w)
@@ -526,21 +545,48 @@ def test_gap_solves_one_half_order_stack_at_even_n(monkeypatch, n):
 def test_odd_order_is_solved_whole_with_the_bits_of_eigenvalues(monkeypatch,
                                                                  n, w):
     m = primitive_gossip_matrix(n, w).entries
-    halves = reflection_halves(m)
-    assert halves.shape == (1, n, n) and np.array_equal(halves[0], m)
-    assert np.array_equal(split_eigenvalues(m), eigenvalues(m))
+    assert reflection_halves(m) is m
+    whole = np.linalg.eigvals(m)
     calls = record_solves(monkeypatch)
+    assert np.array_equal(eigenvalues(m), whole)
     spectral_gap_numeric(m)
-    assert calls == [("eigvals", (1, n, n))]
+    assert calls == [("eigvals", (n, n))] * 2
 
 
 @pytest.mark.parametrize("n", [4, 10, 64])
 def test_one_ulp_off_the_rotation_is_solved_whole(n):
     m = primitive_gossip_matrix(n, 0.8).entries.copy()
     m[0, 1] = np.nextafter(m[0, 1], 1.0)
-    halves = reflection_halves(m)
-    assert halves.shape == (1, n, n) and np.array_equal(halves[0], m)
-    assert np.array_equal(split_eigenvalues(m), eigenvalues(m))
+    assert reflection_halves(m) is m
+    assert np.array_equal(eigenvalues(m), np.linalg.eigvals(m))
+
+
+@pytest.mark.parametrize("entry", [eigenvalues,
+                                   lambda a: full_spectrum(a).eigenvalues],
+                         ids=["eigenvalues", "full_spectrum"])
+@pytest.mark.parametrize("mixed", [False, True], ids=["splits", "mixed"])
+def test_a_stack_splits_only_if_every_matrix_does(monkeypatch, entry, mixed):
+    stack = gossip_stack(8, [0.3, 0.8])
+    if mixed:
+        stack[1, 0, 1] = np.nextafter(stack[1, 0, 1], 1.0)
+    whole = np.linalg.eigvals(stack)
+    calls = record_solves(monkeypatch, ("eigvals", "eig"))
+    values = entry(stack)
+    assert [shape for _, shape in calls] == \
+        [(2, 8, 8) if mixed else (4, 4, 4)]
+    assert values.shape == (2, 8)
+    if mixed:
+        assert np.array_equal(values, whole)
+    else:
+        for row, ref in zip(values, whole):
+            assert spectrum_match_distance(row, ref) <= 1e-13
+
+
+@pytest.mark.parametrize("entry", [eigenvalues, full_spectrum])
+@pytest.mark.parametrize("shape", [(0, 0), (0, 5, 5), (3, 0, 0)])
+def test_empty_input_is_rejected(entry, shape):
+    with pytest.raises(ValueError, match="nonempty"):
+        entry(np.zeros(shape))
 
 
 @pytest.mark.parametrize("n", [4, 8, 30, 128])
@@ -548,7 +594,7 @@ def test_symmetric_input_gives_symmetric_halves_for_the_symmetric_driver(
         monkeypatch, n):
     # Averaging a symmetric doubly stochastic matrix with its rotation
     # makes it bit-equal to both its transpose and its rotation.
-    g = cli._oracle_matrix(n, 0.3)
+    g = isospectral_matrix(n, 0.3)
     s = (g + g[::-1, ::-1]) / 2.0
     halves = reflection_halves(s)
     assert halves.shape == (2, n // 2, n // 2)
@@ -557,7 +603,7 @@ def test_symmetric_input_gives_symmetric_halves_for_the_symmetric_driver(
     gap = spectral_gap_numeric(s)
     assert calls == [("eigvalsh", (2, n // 2, n // 2))]
     whole = np.linalg.eigvalsh(s)
-    assert spectrum_match_distance(split_spectrum(s), whole) <= 1e-13
+    assert spectrum_match_distance(eigenvalues(s), whole) <= 1e-13
     assert abs(gap - (1.0 - np.sort(np.abs(whole))[-2])) <= 1e-13
 
 
@@ -567,9 +613,10 @@ def test_order_cap_is_on_the_callers_order(monkeypatch):
     def must_not_run(*args, **kwargs):
         raise AssertionError("solved before the order was checked")
 
-    for name in ("eigvals", "eigvalsh"):
+    for name in ("eigvals", "eigvalsh", "eig", "eigh"):
         monkeypatch.setattr(np.linalg, name, must_not_run)
     big = np.eye(MAX_SPECTRUM_ORDER + 2)
-    for entry in (spectral_gap_numeric, split_eigenvalues, reflection_halves):
+    for entry in (spectral_gap_numeric, eigenvalues, full_spectrum,
+                  reflection_halves):
         with pytest.raises(ValueError, match="exceeds"):
             entry(big)

@@ -141,13 +141,13 @@ def test_pairing_is_a_permutation_realizing_the_match_distance():
     ("eig", oracle.full_spectrum, primitive_gossip_matrix(5, 0.3).entries),
     ("eigvals", oracle.spectral_gap_numeric,
      primitive_gossip_matrix(5, 0.3).entries),
-    ("eigvalsh", oracle.spectral_gap_numeric, cli._oracle_matrix(5, 0.3)),
+    ("eigvalsh", oracle.spectral_gap_numeric, oracle.isospectral_matrix(5, 0.3)),
     # Even order: the solve runs on the reflection halves, and the message
     # names the matrix that was passed in.
     ("eigvals", oracle.spectral_gap_numeric,
      primitive_gossip_matrix(6, 0.8).entries),
     # A symmetric input to full_spectrum goes to the symmetric driver.
-    ("eigh", oracle.full_spectrum, cli._oracle_matrix(5, 0.3)),
+    ("eigh", oracle.full_spectrum, oracle.isospectral_matrix(5, 0.3)),
 ], ids=["eig-full_spectrum", "eigvals-spectral_gap_numeric",
         "eigvalsh-spectral_gap_numeric", "eigvals-spectral_gap_numeric-split",
         "eigh-full_spectrum"])

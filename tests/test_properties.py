@@ -3,8 +3,8 @@
 Proves, for sizes and parameters drawn by Hypothesis rather than a fixed
 grid, with the tolerance of the matching fixed-grid test:
   1. The closed-form rate equals the numeric spectral gap of the built
-     matrix and, for w <= 1/2, of the CLI's symmetric oracle matrix (abs
-     1e-8, as tests/test_rates.py).
+     matrix and, for w <= 1/2, of the oracle's symmetric stand-in
+     isospectral_matrix (abs 1e-8, as tests/test_rates.py).
   2. The exhaustive failure enumeration equals the product-form expected
      matrix (1e-12, as verify's failure-matrix suite).
   3. Both builders are doubly stochastic (1e-12) and equal penta_matrix of
@@ -18,9 +18,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latticegossip import cli
 from latticegossip.matrices import expected_failure_matrix, primitive_gossip_matrix
-from latticegossip.oracle import enumerate_failure_expectation, spectral_gap_numeric
+from latticegossip.oracle import (enumerate_failure_expectation,
+                                  isospectral_matrix, spectral_gap_numeric)
 from latticegossip.pentadiag import (link_failure_params, penta_matrix,
                                      weighted_gossip_params)
 from latticegossip.rates import rate_link_failure, rate_weighted
@@ -35,7 +35,7 @@ PROPERTY = settings(derandomize=True, deadline=None, max_examples=40,
 def test_closed_form_rate_matches_numeric_gap(n, w, low):
     numeric = spectral_gap_numeric(primitive_gossip_matrix(n, w))
     assert abs(rate_weighted(n, w).rate - numeric) <= 1e-8
-    numeric = spectral_gap_numeric(cli._oracle_matrix(n, low))
+    numeric = spectral_gap_numeric(isospectral_matrix(n, low))
     assert abs(rate_weighted(n, low).rate - numeric) <= 1e-8
 
 
