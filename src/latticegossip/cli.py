@@ -172,19 +172,15 @@ def _numeric_rate(n: int, w: float) -> float | None:
 
 def _report_row(n: int, w: float | None = None, p: float | None = None,
                 empirical: float | None = None) -> dict:
-    """One REPORT_FIELDS row for weighted gossip at w (p None) or link
-    failure at p (w None), whose numeric column is taken at w = (1-p)/2.
-    With both set, no closed form applies and only the empirical rate is
-    reported."""
+    """One REPORT_FIELDS row at gossip weight w (1/2 when None) and link
+    failure probability p (0 when None).  Its closed form and numeric
+    column are those of the expected one-period matrix, weighted gossip at
+    (1-p)*w."""
     row = dict.fromkeys(REPORT_FIELDS)
     row.update(n=n, w=w, p=p, empirical_rate=empirical)
-    if p is None:
-        r, w_numeric = rates.rate_weighted(n, w), w
-    elif w is None:
-        r, w_numeric = rates.rate_link_failure(n, p), (1.0 - p) / 2.0
-    else:
-        return row
-    row.update(analytic_rate=r.rate, numeric_rate=_numeric_rate(n, w_numeric),
+    expected_w = (1.0 - (0.0 if p is None else p)) * (0.5 if w is None else w)
+    r = rates.rate_weighted(n, expected_w)
+    row.update(analytic_rate=r.rate, numeric_rate=_numeric_rate(n, expected_w),
                lambda2_modulus=r.lambda2_modulus, regime=r.regime)
     return row
 
@@ -227,9 +223,8 @@ def cmd_link_failure(args) -> int:
 def cmd_simulate(args) -> int:
     if args.n is None:
         raise SystemExit("error: simulate needs --n")
-    # Only the paper's two models (p = 0, or w = 1/2 with failures) get
-    # closed-form and numeric columns, which need n >= 3; other (w, p)
-    # pairs report the empirical rate alone.
+    # The row leaves p empty without failures and w empty for plain
+    # averaging with failures; its closed form needs n >= 3.
     try:
         config = sim.SimConfig(
             n=args.n, w=args.w if args.w is not None else 0.5,
@@ -237,7 +232,7 @@ def cmd_simulate(args) -> int:
             max_periods=args.max_periods, tolerance=args.tolerance)
         p = config.p or None
         w = None if p is not None and config.w == 0.5 else config.w
-        if (w is None or p is None) and config.n < 3:
+        if config.n < 3:
             raise ValueError(f"need n >= 3, got n={config.n}")
         mc = sim.monte_carlo_rate(config, args.trials)
     except (ValueError, RuntimeError) as exc:
@@ -261,7 +256,7 @@ def cmd_spectrum(args) -> int:
                          f"{oracle.MAX_SPECTRUM_ORDER}, got n={n}")
     kind = "w" if args.p is None else "p"
     (value,) = _resolve_grid(args, kind, [0.5])
-    w = value if kind == "w" else (1.0 - value) / 2.0
+    w = value if kind == "w" else (1.0 - value) * 0.5
     analytic = pentadiag.analytic_eigenvalues(
         pentadiag.weighted_gossip_params(n, w)).eigenvalues
     numeric = oracle.eigenvalues(
@@ -287,9 +282,10 @@ def cmd_spectrum(args) -> int:
 
 
 def _suite_spectra(n_max: int, seed: int) -> float:
-    # The w-grid plus the link-failure weights (1-p)/2, each solved once.
+    # The w-grid plus the link-failure weights (1-p)*w at w = 1/2, each
+    # solved once.
     weights = sorted(set(_parse_grid("0.05:0.95:0.05"))
-                     | {(1.0 - p) / 2.0 for p in _parse_grid("0:0.9:0.1")})
+                     | {(1.0 - p) * 0.5 for p in _parse_grid("0:0.9:0.1")})
     groups = ([w for w in weights if w <= 0.5],
               [w for w in weights if w > 0.5])
     worst = 0.0

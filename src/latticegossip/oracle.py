@@ -251,7 +251,7 @@ def isospectral_matrix(n: int, w: float) -> np.ndarray:
 def spectral_gap_numeric(a) -> float:
     """1 - (second largest eigenvalue modulus) of a doubly stochastic
     matrix, from eigenvalues()."""
-    m = _as_square_array(a)
+    m = _as_matrices(_as_square_array(a))
     ones = np.ones(m.shape[0])
     if np.abs(m @ ones - ones).max() > 1e-9 or \
             np.abs(m.T @ ones - ones).max() > 1e-9:

@@ -12,7 +12,9 @@ when the radicand is nonnegative, and |lambda2| = |2w - 1| otherwise (the
 pair turns complex-conjugate and Vieta's product fixes the modulus).  The
 link-failure variant is the same formula: the expected matrix under i.i.d.
 Bernoulli link failures at rate p is weighted gossip at w = (1-p)/2, where
-the radicand is nonnegative, so its slow mode is always a real root.
+the radicand is nonnegative, so its slow mode is always a real root.  The
+formula holds at both ends of the weight range: w = 0 (the identity) and
+w = 1 (a permutation) both give modulus 1 and rate 0.
 """
 from __future__ import annotations
 
@@ -44,11 +46,12 @@ def _edge_mode_sin(n: int) -> float:
 
 
 def rate_weighted(n: int, w: float) -> RateResult:
-    """Per-period convergence rate of weighted gossip, any parity of n."""
+    """Per-period convergence rate of weighted gossip at w in [0, 1], any
+    parity of n."""
     if n < 3:
         raise ValueError(f"need n >= 3, got n={n}")
-    if not 0.0 < w < 1.0:
-        raise ValueError(f"gossip weight must lie strictly in (0, 1), got {w}")
+    if not 0.0 <= w <= 1.0:
+        raise ValueError(f"gossip weight must lie in [0, 1], got {w}")
     s = _edge_mode_sin(n)
     radicand = w * w * s * s - 2.0 * w + 1.0
     if radicand >= 0.0:
@@ -66,16 +69,10 @@ def rate_link_failure(n: int, p: float) -> RateResult:
     The expected matrix is weighted gossip at w = (1-p)/2, so this is
     rate_weighted at that weight with parameter p.  It reduces to
     rate_weighted(n, 1/2) at p = 0 and to zero at p = 1 (all links down,
-    identity dynamics), which is handled here because rate_weighted rejects
-    w = 0.
+    identity dynamics).
     """
-    if n < 3:
-        raise ValueError(f"need n >= 3, got n={n}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"failure probability must lie in [0, 1], got {p}")
-    if p == 1.0:
-        return RateResult(n=n, parameter=p, lambda2_modulus=1.0, rate=0.0,
-                          regime=REAL_ROOTS)
     return replace(rate_weighted(n, (1.0 - p) / 2.0), parameter=p)
 
 

@@ -5,7 +5,7 @@ One period applies the (2,3), (4,5), ... matching first and the (1,2),
 that builds the primitive gossip matrix.  Link failures are drawn once per
 edge per period: a failed edge gets weight 0 in that period, which skips its
 pairwise update entirely.  Averaged over the draws, each edge acts as the
-weighted update at (1-p) w; at w = 1/2 that is the expected-matrix model.
+weighted update at (1-p) w, the weight of the expected-matrix model.
 
 Randomness comes from the counter-based Philox generator seeded through
 numpy's SeedSequence; independent trials derive their streams from the same
@@ -127,10 +127,14 @@ def monte_carlo_rate(config: SimConfig, trials: int) -> MonteCarloRate:
     Each trial uses its own derived random stream (covering both the
     initial vector and the failure draws), so the full experiment is
     reproducible from config.seed.  Trials that converge too fast to
-    measure a rate (fewer than 4 periods) are dropped from the average.
+    measure a rate (fewer than 4 periods) are dropped from the average, so
+    a budget of fewer than 4 periods is rejected before any trial runs.
     """
     if trials < 1:
         raise ValueError(f"need at least 1 trial, got {trials}")
+    if config.max_periods < 4:
+        raise ValueError(f"measuring a rate needs max_periods >= 4, "
+                         f"got {config.max_periods}")
     rates: list[float] = []
     for trial in range(trials):
         rng = _trial_rng(config.seed, trial)

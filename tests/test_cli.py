@@ -13,7 +13,8 @@ Proves:
      link-failure row among them) run with the general solver disabled,
      and rows at w > 1/2 with the symmetric one disabled.  At even n the
      general solver sees nothing larger than a half-order block.
-  5. Bad sizes, bad simulator settings, a report of more rows than
+  5. Bad sizes, bad simulator settings (a period budget too short to
+     measure a rate among them), a report of more rows than
      MAX_GRID_POINTS and an --out path that cannot be written end in an
      error: line before any row is computed, never in a traceback.
   6. verify's stacked suites return the float of a one-matrix-at-a-time
@@ -142,24 +143,20 @@ def test_link_failure_default_grid(capsys):
 
 
 @pytest.mark.parametrize("w, p, expected", [
-    ("0.7", "0.2", None),
+    ("0.7", "0.2", rate_weighted(5, 0.56).rate),
     ("0.7", "0", rate_weighted(5, 0.7).rate),
     ("0.5", "0.3", rate_link_failure(5, 0.3).rate),
-], ids=["empirical-only", "weighted", "link-failure"])
+], ids=["weight-and-failure", "weighted", "link-failure"])
 def test_simulate_row_columns_follow_the_model(capsys, w, p, expected):
     code, out = run_cli(capsys, "simulate", "--n", "5", "--w", w,
                         "--p", p, "--seed", "3", "--trials", "2")
     assert code == 0
     record = parse_csv(out)[0]
     assert record["empirical_rate"] != ""
-    if expected is None:
-        # No closed form for this (w, p): the empirical rate alone.
-        assert record["analytic_rate"] == ""
-        assert record["numeric_rate"] == ""
-        return
-    # p = 0 reports weighted gossip at w; w = 1/2 with failures reports
-    # link failure at p, with the other parameter left empty.
-    assert record["p" if p == "0" else "w"] == ""
+    # Every row reports the expected matrix, weighted gossip at (1 - p) w.
+    # p = 0 leaves p empty; w = 1/2 with failures leaves w empty.
+    assert (record["p"] == "") == (p == "0")
+    assert (record["w"] == "") == (w == "0.5" and p != "0")
     assert float(record["analytic_rate"]) == pytest.approx(expected, abs=1e-9)
     assert float(record["numeric_rate"]) == pytest.approx(expected, abs=1e-7)
 
@@ -540,7 +537,9 @@ def error_exit(argv):
     "link-failure --n 2 --p 0.2",
     "simulate --n 5 --w 1.5",
     "simulate --n 2 --w 0.7 --trials 2",
+    "simulate --n 2 --w 0.7 --p 0.2 --trials 2",
     "simulate --n 5 --trials 0",
+    "simulate --n 40 --trials 3 --max-periods 3",
 ])
 def test_bad_size_or_setting_is_an_error_line(monkeypatch, argv):
     def must_not_run(*args, **kwargs):

@@ -11,7 +11,7 @@ Proves:
      matches the product construction exactly, within its documented size
      window.
   4. spectral_gap_numeric computes 1 - |lambda_2| for doubly stochastic
-     input and rejects anything else.
+     input and rejects anything else, an empty matrix with a clear error.
   5. spectrum_match_distance pairs two spectra greedily and reports the
      worst gap.
   6. eigenvalues (the eigenvalues-only solve) returns the bits of
@@ -204,6 +204,11 @@ def test_gap_hundred_nodes_tuned_weight():
 def test_gap_rejects_non_stochastic_input():
     with pytest.raises(ValueError):
         spectral_gap_numeric(np.array([[0.5, 0.2], [0.5, 0.8]]))
+
+
+def test_gap_rejects_empty_input_before_the_stochastic_check():
+    with pytest.raises(ValueError, match="nonempty"):
+        spectral_gap_numeric(np.zeros((0, 0)))
 
 
 # --- spectrum pairing ----------------------------------------------------------------

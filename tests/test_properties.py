@@ -10,6 +10,9 @@ grid, with the tolerance of the matching fixed-grid test:
   3. Both builders are doubly stochastic (1e-12) and equal penta_matrix of
      their parameters (1e-14), as tests/test_matrices.py.
   4. The link-failure rate does not increase with the failure probability.
+  5. A report row at any (w, p) takes its closed form at the expected
+     weight (1 - p) w, within 1e-8 of its numeric column; a row with p or
+     w unset has the bits of rate_weighted or rate_link_failure.
 
 Examples are derandomized, so every run draws the same cases.
 """
@@ -18,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latticegossip.cli import _report_row
 from latticegossip.matrices import expected_failure_matrix, primitive_gossip_matrix
 from latticegossip.oracle import (enumerate_failure_expectation,
                                   isospectral_matrix, spectral_gap_numeric)
@@ -85,3 +89,18 @@ def test_builders_equal_the_penta_template(family, data, n):
 def test_link_failure_rate_is_non_increasing_in_p(n, p, q):
     lo, hi = sorted((p, q))
     assert rate_link_failure(n, hi).rate <= rate_link_failure(n, lo).rate
+
+
+CLOSED_FORM = ("analytic_rate", "lambda2_modulus", "regime")
+
+
+@PROPERTY
+@given(n=st.integers(3, 60), w=OPEN_WEIGHT, p=PROBABILITY)
+def test_report_row_is_the_expected_matrix_at_any_weight(n, w, p):
+    row = _report_row(n, w, p)
+    assert abs(row["analytic_rate"] - row["numeric_rate"]) <= 1e-8
+    assert row["analytic_rate"] == rate_weighted(n, (1.0 - p) * w).rate
+    for single, r in ((_report_row(n, w=w), rate_weighted(n, w)),
+                      (_report_row(n, p=p), rate_link_failure(n, p))):
+        assert [single[f] for f in CLOSED_FORM] == \
+            [r.rate, r.lambda2_modulus, r.regime]

@@ -3,7 +3,7 @@
 Proves:
   1. rate_weighted reproduces hand-solved anchors, reports the regime that
      matches the discriminant sign, and agrees with the numeric spectral
-     gap across sizes and weights.
+     gap across sizes and weights, the rate-0 ends w = 0 and 1 included.
   2. In the complex regime the subdominant modulus collapses to |2w - 1|
      exactly, independent of n.
   3. The closed form coincides with the subdominant modulus of the
@@ -18,7 +18,8 @@ Proves:
 import numpy as np
 import pytest
 
-from latticegossip.matrices import expected_failure_matrix
+from latticegossip.matrices import (expected_failure_matrix,
+                                    primitive_gossip_matrix)
 from latticegossip.oracle import spectral_gap_numeric
 from latticegossip.pentadiag import (analytic_eigenvalues,
                                      second_largest_modulus,
@@ -48,10 +49,21 @@ def test_rate_fifteen_nodes_tuned_weight():
     assert rate_weighted(15, 0.8).rate == pytest.approx(0.2015, abs=5e-4)
 
 
-@pytest.mark.parametrize("n,w", [(2, 0.5), (3, 0.0), (3, 1.0), (3, -0.2)])
+@pytest.mark.parametrize("n,w", [(2, 0.5), (3, -0.2), (3, 1.2)])
 def test_rate_weighted_rejects_bad_arguments(n, w):
     with pytest.raises(ValueError):
         rate_weighted(n, w)
+
+
+@pytest.mark.parametrize("w", [0.0, 1.0])
+@pytest.mark.parametrize("n", [3, 4, 7, 8, 33])
+def test_rate_weighted_endpoints_give_rate_zero(n, w):
+    # w = 0 is the identity and w = 1 a permutation: no mode contracts.
+    r = rate_weighted(n, w)
+    assert r.rate == 0.0
+    assert r.lambda2_modulus == 1.0
+    numeric = spectral_gap_numeric(primitive_gossip_matrix(n, w))
+    assert abs(r.rate - numeric) <= 1e-8
 
 
 @pytest.mark.parametrize("n", [3, 4, 7, 10, 33])

@@ -11,7 +11,8 @@ Proves:
   4. monte_carlo_rate aggregates independent per-trial streams: trial
      streams never shift when the trial count changes, a single trial has
      zero standard error, and the p = 0 ensemble mean lands within three
-     standard errors of the closed form.
+     standard errors of the closed form.  A period budget too short to
+     measure a rate is rejected before any trial runs.
   5. With failing links the ensemble mean lands near the expected-matrix
      rate; the residual bias of the random process against that averaged
      proxy stays below eight percent and is reported for inspection.
@@ -20,6 +21,7 @@ Proves:
 import numpy as np
 import pytest
 
+from latticegossip import sim
 from latticegossip.rates import rate_link_failure, rate_weighted
 from latticegossip.sim import (MonteCarloRate, SimConfig, SimResult,
                                monte_carlo_rate, run_periodic_gossip)
@@ -168,6 +170,16 @@ def test_monte_carlo_is_deterministic():
 def test_monte_carlo_rejects_nonpositive_trials():
     with pytest.raises(ValueError):
         monte_carlo_rate(SimConfig(n=4, w=0.5, p=0.0, seed=0), 0)
+
+
+def test_monte_carlo_rejects_a_budget_too_short_for_a_rate(monkeypatch):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("trial ran although no rate can be measured")
+
+    monkeypatch.setattr(sim, "_run", must_not_run)
+    config = SimConfig(n=40, w=0.5, p=0.0, seed=0, max_periods=3)
+    with pytest.raises(ValueError, match="max_periods >= 4"):
+        monte_carlo_rate(config, 3)
 
 
 def test_monte_carlo_result_shape():
