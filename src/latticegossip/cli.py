@@ -300,9 +300,9 @@ def _suite_spectra(n_max: int, seed: int) -> float:
                 stack = np.stack([oracle.isospectral_matrix(n, w)
                                   for w in chunk])
                 nums = oracle.full_spectrum(stack).eigenvalues
-                for w, num in zip(chunk, nums):
-                    ana = pentadiag.analytic_eigenvalues(
-                        pentadiag.weighted_gossip_params(n, w)).eigenvalues
+                anas = pentadiag.analytic_eigenvalues(
+                    pentadiag.weighted_gossip_params(n, chunk)).eigenvalues
+                for ana, num in zip(anas, nums):
                     worst = max(worst,
                                 oracle.spectrum_match_distance(ana, num))
     return worst
@@ -335,9 +335,10 @@ def _suite_charpoly(n_max: int, seed: int) -> float:
 
 def _suite_failure_matrix(n_max: int, seed: int) -> float:
     worst = 0.0
+    ps = _parse_grid("0:1:0.1")
     for n in range(3, min(n_max, 10) + 1):
-        for p in _parse_grid("0:1:0.1"):
-            exact = oracle.enumerate_failure_expectation(n, p)
+        exacts = oracle.enumerate_failure_expectation(n, ps)
+        for p, exact in zip(ps, exacts):
             built = matrices.expected_failure_matrix(n, p).entries
             worst = max(worst, float(np.abs(exact - built).max()))
     return worst
@@ -427,7 +428,10 @@ def _rows_relative_error(ns: list[int]) -> tuple[tuple[str, ...], list[dict]]:
 
 def _rows_fig7() -> tuple[tuple[str, ...], list[dict]]:
     fields = ("n", "p", "rate")
-    rows = [{"n": n, "p": p, "rate": rates.rate_link_failure(n, p).rate}
+    # Link failure is weighted gossip at w = (1-p)/2: rate_link_failure's
+    # rate, with one rates call a row.
+    rows = [{"n": n, "p": p,
+             "rate": rates.rate_weighted(n, (1.0 - p) / 2.0).rate}
             for n in (5, 10, 15, 20) for p in _parse_grid("0:1:0.05")]
     return fields, rows
 

@@ -21,7 +21,11 @@ fingerprint.
 Both solvers also take a (k, n, n) stack of matrices, and
 determinant_shifted takes an array of shifts; either way the whole batch is
 one LAPACK call that runs the same routine on each matrix, so every entry
-has the bits of its own one-matrix call.
+has the bits of its own one-matrix call.  full_spectrum takes the residual
+of the whole solved stack in one matmul-and-norm pass.
+enumerate_failure_expectation takes an array of failure probabilities: it
+builds the 2^(n-1) failure-pattern products once and weights and sums them
+for each p, every entry with the bits of its own one-p call.
 
 Both solvers split before they solve.  A matrix W of even order n that is
 bit-equal to its 180-degree rotation J W J (J the reversal) has the block
@@ -155,44 +159,58 @@ def full_spectrum(a) -> OracleSpectrum:
     largest of the residuals.
     """
     m, solved, (values, vectors) = _solve(a, _eig)
-    n = solved.shape[-1]
-    residuals = []
-    # One matrix at a time: the same bits as a one-matrix call, and no
-    # stack-sized temporaries.
-    for x, lams, vecs in zip(solved.reshape(-1, n, n), values.reshape(-1, n),
-                             vectors.reshape(-1, n, n)):
-        defect = x.astype(complex) @ vecs - vecs * lams
-        scale = max(float(np.linalg.norm(x)), 1e-300)
-        residuals.append(np.linalg.norm(defect, axis=0).max() / scale)
+    # The whole solved stack in one pass, in real arithmetic: complex
+    # vectors and defects are handled as their real views, whose columns
+    # alternate real and imaginary parts.  Working in place keeps the
+    # product the pass's one temporary the size of the vectors.
+    vectors = np.ascontiguousarray(vectors)
+    defect = (solved @ vectors.view(float)).view(vectors.dtype)
+    vectors *= values[..., None, :]
+    defect -= vectors
+    del vectors
+    parts = defect.view(float)
+    np.square(parts, out=parts)
+    # Each column's sum of its entries' squared real and imaginary parts.
+    norms = np.sqrt(parts.reshape(defect.shape + (-1,)).sum(axis=(-3, -1)))
+    scale = np.maximum(np.linalg.norm(solved, axis=(-2, -1)), 1e-300)
+    residuals = norms.max(axis=-1) / scale
     return OracleSpectrum(eigenvalues=values.reshape(m.shape[:-1]),
-                          residual=float(np.max(residuals)))
+                          residual=float(residuals.max()))
 
 
-def enumerate_failure_expectation(n: int, p: float) -> np.ndarray:
+def enumerate_failure_expectation(n: int, p):
     """Exact expectation of the one-period matrix by exhaustive enumeration.
 
     Sums Pr(F) * (period product with the edges in F skipped) over every
-    subset F of the n-1 path edges, in mask order, with the products of all
-    patterns built as one (patterns, n, n) stack.  Exponential in n, hence
+    subset F of the n-1 path edges, in mask order.  Exponential in n, hence
     the small-n guard; this is the brute-force check for
     expected_failure_matrix.
+
+    p may also be a 1-D array of probabilities, giving a (k, n, n) stack,
+    one expectation per entry with the bits of its own call.  The products
+    of all 2^(n-1) patterns are built once, as one (patterns, n, n) stack,
+    and weighted and summed for each p.  Every p is checked before any
+    product is built.
     """
     if n > 12:
         raise ValueError(f"exhaustive enumeration supports n <= 12, got n={n}")
     if n < 3:
         raise ValueError(f"need n >= 3, got n={n}")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"failure probability must lie in [0, 1], got {p}")
-    # Mask bit e set means path edge (e+1, e+2) failed.  Pr(mask) uses
-    # Python float powers: numpy's power rounds some of them differently.
-    failed = [bin(mask).count("1") for mask in range(1 << (n - 1))]
-    weights = np.array([p ** f * (1.0 - p) ** (n - 1 - f) for f in failed])
-    masks = np.flatnonzero(weights)
-    weights = weights[masks]
-    # Every kept pattern's period product at once: each pair update, in
-    # schedule order, multiplies the patterns whose edge is up.  The pair
-    # matrix is an explicit stack, not a broadcast operand, so each product
-    # is a plain (n, n) @ (n, n) matmul as in a per-pattern loop.
+    ps = np.asarray(p, dtype=float)
+    if ps.ndim > 1:
+        raise ValueError(f"failure probabilities must be a scalar or a 1-D "
+                         f"array, got shape {ps.shape}")
+    qs = np.atleast_1d(ps).tolist()
+    for q in qs:
+        if not 0.0 <= q <= 1.0:
+            raise ValueError(
+                f"failure probability must lie in [0, 1], got {q}")
+    # Mask bit e set means path edge (e+1, e+2) failed.  Every pattern's
+    # period product at once: each pair update, in schedule order,
+    # multiplies the patterns whose edge is up.  The pair matrix is an
+    # explicit stack, not a broadcast operand, so each product is a plain
+    # (n, n) @ (n, n) matmul as in a per-pattern loop.
+    masks = np.arange(1 << (n - 1))
     periods = np.repeat(np.eye(n)[None], masks.size, axis=0)
     sched = matrices.optimal_schedule(n)
     for pair in sched.e1 + sched.e2:
@@ -201,11 +219,21 @@ def enumerate_failure_expectation(n: int, p: float) -> np.ndarray:
             matrices.pair_update_matrix(n, pair, 0.5).entries[None],
             up.size, axis=0)
         periods[up] = pair_stack @ periods[up]
-    # Weight each product, then sum in mask order: accumulate adds
-    # sequentially along the pattern axis, as a running total would.
-    periods *= weights[:, None, None]
-    np.add.accumulate(periods, axis=0, out=periods)
-    return periods[-1].copy()
+    failed = np.array([bin(mask).count("1") for mask in masks.tolist()])
+    expectations = np.empty(ps.shape + (n, n))
+    terms = np.empty_like(periods)
+    for q, out in zip(qs, expectations.reshape(-1, n, n)):
+        # Pr(mask) from Python float powers: numpy's power rounds some of
+        # them differently.  The products are nonnegative, so a pattern of
+        # probability 0 adds +0.0 and leaves the sum's bits alone.
+        by_failures = [q ** f * (1.0 - q) ** (n - 1 - f) for f in range(n)]
+        np.multiply(periods, np.array(by_failures)[failed, None, None],
+                    out=terms)
+        # Sum in mask order: accumulate adds sequentially along the pattern
+        # axis, as a running total would.
+        np.add.accumulate(terms, axis=0, out=terms)
+        out[...] = terms[-1]
+    return expectations
 
 
 def reflection_halves(a) -> np.ndarray:

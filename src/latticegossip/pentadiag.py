@@ -20,6 +20,12 @@ so every formula below is a polynomial in lambda and stays finite at z = 0,
 where the unscaled U_m(x) has a pole in x.  chebyshev_u is still exposed on
 its own because the trigonometric identity U_m(cos t) sin t = sin((m+1) t)
 is the cleanest way to test the recurrence.
+
+The closed-form eigenvalues come in array passes: weighted_gossip_params
+takes a 1-D array of weights as well as one weight, and
+analytic_eigenvalues solves every cosine-grid quadratic of every weight in
+one set of array operations.  One weight is the one-entry case of the same
+code, and each entry of an array has the bits of its own one-weight call.
 """
 from __future__ import annotations
 
@@ -32,7 +38,12 @@ _REL_TOL = 1e-12
 
 @dataclass(frozen=True)
 class PentaParams:
-    """Parameters of the corner-perturbed pentadiagonal family."""
+    """Parameters of the corner-perturbed pentadiagonal family.
+
+    The fields other than n are scalars, or for analytic_eigenvalues alone
+    1-D arrays of one length, one entry per matrix (see
+    weighted_gossip_params).
+    """
 
     alpha: float
     beta: float
@@ -90,11 +101,26 @@ def penta_matrix(params: PentaParams,
     return m
 
 
-def weighted_gossip_params(n: int, w: float) -> PentaParams:
-    """Parameters whose realized matrix is primitive_gossip_matrix(n, w)."""
+def weighted_gossip_params(n: int, w) -> PentaParams:
+    """Parameters whose realized matrix is primitive_gossip_matrix(n, w).
+
+    w may also be a 1-D array of weights: every field but n is then the
+    array of its values, one entry per weight, for analytic_eigenvalues to
+    solve in one pass.  Each entry has the bits of the scalar call.
+    """
+    if np.ndim(w):
+        w = np.asarray(w, dtype=float)
+        if w.ndim != 1:
+            raise ValueError(f"weights must be a scalar or a 1-D array, got "
+                             f"shape {w.shape}")
+        # numpy squares an array by multiplication but a scalar by libm's
+        # pow, and the two round about one square in a thousand apart
+        # (w = 0.958203739894623 among them): each entry takes the pow.
+        e = np.array([(x - 1.0) ** 2 for x in w.tolist()])
+    else:
+        e = (w - 1.0) ** 2
     b = w - w * w
-    return PentaParams(alpha=-b, beta=-b, e=(w - 1.0) ** 2, b=b, c=w * w,
-                       d=w, n=n)
+    return PentaParams(alpha=-b, beta=-b, e=e, b=b, c=w * w, d=w, n=n)
 
 
 def link_failure_params(n: int, p: float) -> PentaParams:
@@ -218,26 +244,31 @@ def charpoly_bd_bd(params: PentaParams, parity: str, lam: complex) -> complex:
 # --- eigenvalues ---------------------------------------------------------
 
 
-def _stable_quadratic_roots(bcoef: float, ccoef: float) -> tuple[complex, complex]:
-    """Roots of Y^2 + bcoef*Y + ccoef = 0, real coefficients.
+def _quadratic_roots(bcoef: np.ndarray,
+                     ccoef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Roots of Y^2 + bcoef*Y + ccoef = 0 for real coefficient arrays, as
+    two complex arrays of their shape.
 
-    Real case: the larger-magnitude root is computed without cancellation
-    and the other recovered from the product (Vieta).  Negative
-    discriminant: exact conjugates.
+    Real case: the larger-magnitude root q is computed without cancellation
+    and the other recovered from the product (Vieta) as ccoef / q, or 0 where
+    q = 0.  Negative discriminant: exact conjugates.  Both branches are
+    evaluated on every entry, with operands chosen so that neither divides
+    by zero nor takes the square root of a negative number.
     """
     disc = bcoef * bcoef - 4.0 * ccoef
-    if disc >= 0.0:
-        sq = np.sqrt(disc)
-        if bcoef >= 0.0:
-            q = -(bcoef + sq) / 2.0
-        else:
-            q = -(bcoef - sq) / 2.0
-        y1 = q
-        y2 = ccoef / q if q != 0.0 else 0.0
-        return complex(y1), complex(y2)
+    real = disc >= 0.0
+    sq = np.sqrt(np.abs(disc))
+    q = np.where(bcoef >= 0.0, -(bcoef + sq) / 2.0, -(bcoef - sq) / 2.0)
+    nonzero = q != 0.0
+    vieta = np.where(nonzero, ccoef / np.where(nonzero, q, 1.0), 0.0)
     re = -bcoef / 2.0
-    im = np.sqrt(-disc) / 2.0
-    return complex(re, im), complex(re, -im)
+    y1 = np.empty(disc.shape, dtype=complex)
+    y2 = np.empty(disc.shape, dtype=complex)
+    y1.real = np.where(real, q, re)
+    y2.real = np.where(real, vieta, re)
+    y1.imag = np.where(real, 0.0, sq / 2.0)
+    y2.imag = np.where(real, 0.0, -sq / 2.0)
+    return y1, y2
 
 
 def analytic_eigenvalues(params: PentaParams) -> Spectrum:
@@ -252,44 +283,71 @@ def analytic_eigenvalues(params: PentaParams) -> Spectrum:
     one per grid value g of the cosine: g = cos((2k+1)*pi/n) for odd n
     (k = 0..(n-3)/2) and g = cos(2k*pi/n) for even n (k = 1..n/2-1).  The
     explicit values are Y = -(2b+c), plus Y = c for even n.
+
+    The fields other than n may be 1-D arrays of one length k (as
+    weighted_gossip_params gives for an array of weights): the eigenvalues
+    are then a (k, n) array, one row per entry, each row the bits of the
+    call with that entry's scalars.  Every quadratic of every entry is
+    solved in one pass of array operations.  A stack is rejected if any of
+    its entries is.
     """
-    b, c, d, e = params.b, params.c, params.d, params.e
-    scale = max(1.0, abs(b), abs(c), abs(d), abs(e))
-    if abs(params.alpha + b) > _REL_TOL * scale or \
-            abs(params.beta + b) > _REL_TOL * scale:
+    fields = np.broadcast_arrays(*(
+        np.asarray(x, dtype=float) for x in
+        (params.alpha, params.beta, params.e, params.b, params.c, params.d)))
+    stacked = fields[0].ndim == 1
+    if fields[0].ndim > 1:
+        raise ValueError(f"parameters must be scalars or 1-D arrays, got "
+                         f"shape {fields[0].shape}")
+    alpha, beta, e, b, c, d = (np.atleast_1d(x) for x in fields)
+    scale = np.max([np.ones_like(b), abs(b), abs(c), abs(d), abs(e)], axis=0)
+    bad = (abs(alpha + b) > _REL_TOL * scale) | \
+        (abs(beta + b) > _REL_TOL * scale)
+    if bad.any():
+        i = int(np.argmax(bad))
         raise ValueError(
             "closed-form eigenvalues require alpha = beta = -b; "
-            f"got alpha={params.alpha!r}, beta={params.beta!r}, b={b!r}")
-    if abs((d - b) - c) > _REL_TOL * scale:
+            f"got alpha={float(alpha[i])!r}, beta={float(beta[i])!r}, "
+            f"b={float(b[i])!r}")
+    bad = abs((d - b) - c) > _REL_TOL * scale
+    if bad.any():
+        i = int(np.argmax(bad))
         raise ValueError(
             "closed-form eigenvalues require d - b = c; "
-            f"got d - b = {d - b!r}, c = {c!r}")
+            f"got d - b = {float(d[i] - b[i])!r}, c = {float(c[i])!r}")
     n = params.n
-    ys: list[complex] = []
     if n % 2 == 1:
-        ys.append(complex(-(2.0 * b + c)))
+        explicit = [-(2.0 * b + c)]
         gs = np.cos((2.0 * np.arange((n - 1) // 2) + 1.0) * np.pi / n)
     else:
-        ys.append(complex(c))
-        ys.append(complex(-(2.0 * b + c)))
+        explicit = [c, -(2.0 * b + c)]
         gs = np.cos(2.0 * np.arange(1, n // 2) * np.pi / n)
-    for g in gs:
-        y1, y2 = _stable_quadratic_roots(-2.0 * c * g,
-                                         2.0 * b * b * g - 2.0 * b * b + c * c)
-        ys.append(y1)
-        ys.append(y2)
-    return Spectrum(eigenvalues=e - np.array(ys, dtype=complex))
+    # Rows are entries, columns grid values.
+    bk, ck = b[:, None], c[:, None]
+    y1, y2 = _quadratic_roots(-2.0 * ck * gs,
+                              2.0 * bk * bk * gs - 2.0 * bk * bk + ck * ck)
+    ys = np.empty((b.size, n), dtype=complex)
+    for j, y in enumerate(explicit):
+        ys[:, j] = y
+    # Each grid value contributes its two roots in turn.
+    ys[:, len(explicit)::2] = y1
+    ys[:, len(explicit) + 1::2] = y2
+    eigs = e[:, None] - ys
+    return Spectrum(eigenvalues=eigs if stacked else eigs[0])
 
 
 def second_largest_modulus(spectrum: Spectrum | np.ndarray) -> float:
     """Largest modulus after removing one eigenvalue closest to 1.
 
     The input must contain an eigenvalue within 1e-9 of 1 (every valid
-    gossip matrix does); otherwise the request is rejected.
+    gossip matrix does); otherwise the request is rejected.  So is a stack
+    of spectra, such as analytic_eigenvalues gives for an array of weights.
     """
     eigs = np.asarray(
         spectrum.eigenvalues if isinstance(spectrum, Spectrum) else spectrum,
-        dtype=complex).ravel()
+        dtype=complex)
+    if eigs.ndim > 1:
+        raise ValueError(f"expected one spectrum, got shape {eigs.shape}")
+    eigs = eigs.ravel()
     if eigs.size == 0:
         raise ValueError("empty spectrum")
     idx = int(np.argmin(np.abs(eigs - 1.0)))

@@ -5,7 +5,8 @@ Proves:
      same invocation produces byte-identical output, seeds included.
   2. The reproduce targets regenerate the reference tables: the tuned-rate
      table rows, the flagged large-n reference rows, and the figure data
-     series have the right shapes and anchor values.
+     series have the right shapes and anchor values; fig7 rows are
+     rate_link_failure's rates from one rate_weighted call each.
   3. verify runs its suites and reports PASS with exit code 0 on the
      shipped implementation, and argument validation fails loudly.
   4. The report commands and spectrum read eigenvalues only: they run with
@@ -18,8 +19,9 @@ Proves:
      MAX_GRID_POINTS and an --out path that cannot be written end in an
      error: line before any row is computed, never in a traceback.
   6. verify's stacked suites return the float of a one-matrix-at-a-time
-     loop, and an --n-max the spectra suite cannot solve is an error: line
-     before any suite runs.  The spectra suite passes full_spectrum the
+     loop (one weight and one p at a time for the closed form and the
+     enumeration), and an --n-max the spectra suite cannot solve is an
+     error: line before any suite runs.  The spectra suite passes full_spectrum the
      report path's matrices (oracle.isospectral_matrix), in stacks of at
      most SPECTRA_STACK_BYTES at 8 n^2 bytes a matrix; the solver splits
      each even-order stack into its halves and sends symmetric ones to the
@@ -35,7 +37,7 @@ import sys
 import numpy as np
 import pytest
 
-from latticegossip import cli, matrices, oracle, pentadiag
+from latticegossip import cli, matrices, oracle, pentadiag, rates
 from latticegossip.cli import REPORT_FIELDS, SPECTRUM_FIELDS, main
 from latticegossip.rates import rate_link_failure, rate_weighted, relative_error
 
@@ -227,6 +229,25 @@ def test_reproduce_fig7_failed_network_rows_are_zero(capsys):
     assert all(float(r["rate"]) == 0.0 for r in dead)
 
 
+def test_reproduce_fig7_rows_take_one_rate_call_each(monkeypatch):
+    rows = cli._rows_fig7()[1]
+    expected = [rate_link_failure(r["n"], r["p"]).rate for r in rows]
+    calls = []
+    weighted = rates.rate_weighted
+
+    def counted(n, w):
+        calls.append((n, w))
+        return weighted(n, w)
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("fig7 went through rate_link_failure")
+
+    monkeypatch.setattr(rates, "rate_weighted", counted)
+    monkeypatch.setattr(rates, "rate_link_failure", must_not_run)
+    assert [r["rate"] for r in cli._rows_fig7()[1]] == expected
+    assert len(calls) == len(rows) == 84
+
+
 # --- verify ------------------------------------------------------------------------------
 
 
@@ -271,8 +292,8 @@ def test_verify_scopes_that_cap_their_orders_accept_any_n_max(capsys, scope):
     assert "overall: PASS" in out
 
 
-# Each stacked suite written as a loop over one matrix and one shift at a
-# time; the stacked suites must return these floats.
+# Each stacked suite written as a loop over one matrix, one weight, one
+# shift and one p at a time; the stacked suites must return these floats.
 
 
 def looped_spectra(n_max, seed):
@@ -314,11 +335,22 @@ def looped_charpoly(n_max, seed):
     return worst
 
 
+def looped_failure_matrix(n_max, seed):
+    worst = 0.0
+    for n in range(3, min(n_max, 10) + 1):
+        for p in cli._parse_grid("0:1:0.1"):
+            exact = oracle.enumerate_failure_expectation(n, p)
+            built = matrices.expected_failure_matrix(n, p).entries
+            worst = max(worst, float(np.abs(exact - built).max()))
+    return worst
+
+
 @pytest.mark.parametrize("seed", [0, 5])
 @pytest.mark.parametrize("n_max", [3, 4, 12, 20, 33])
 @pytest.mark.parametrize("scope, looped", [
     ("spectra", looped_spectra),
     ("charpoly", looped_charpoly),
+    ("failure-matrix", looped_failure_matrix),
 ])
 def test_stacked_suite_returns_the_float_of_the_looped_suite(scope, looped,
                                                              n_max, seed):

@@ -19,9 +19,13 @@ Proves:
      and agrees within 1e-12 above that.
   7. The batched enumeration is bit-equal to a per-pattern product loop,
      on every (n, p) of verify's failure-matrix suite, and never goes
-     through the period kernel.
+     through the period kernel.  An array of p gives the bytes of its
+     per-p calls for n = 3..12, 0 and 1 among them, and a p outside
+     [0, 1] or NaN anywhere in it is rejected before any product is built.
   8. A (k, n, n) stack solves to the bits of its one-matrix solves, with
-     the largest of their residuals; an array of shifts gives the bits of
+     the largest of their residuals (general stacks and verify's
+     symmetric and general stacks alike), below 1e-13 on verify's weights
+     up to n = 60; an array of shifts gives the bits of
      its one-shift determinants; a failed stack solve names its sha256
      digest; the one-matrix entry points still reject a stack.
   9. For w <= 1/2 isospectral_matrix's W(h)^T W(h) stands in for W(w): it
@@ -327,11 +331,51 @@ def test_stacked_solves_are_the_bits_of_one_matrix_solves_up_to_n_60():
                 (n, VERIFY_WEIGHTS[k])
 
 
+def isospectral_stacks(n):
+    """verify's spectra stacks at order n: the report path's matrices of
+    its weights up to 1/2 (symmetric) and above (general)."""
+    return [np.stack([isospectral_matrix(n, w) for w in group])
+            for group in ([w for w in VERIFY_WEIGHTS if w <= 0.5],
+                          [w for w in VERIFY_WEIGHTS if w > 0.5])]
+
+
 @pytest.mark.parametrize("n", [3, 4, 12, 33, 60])
 def test_stack_residual_is_the_largest_one_matrix_residual(n):
-    stack = gossip_stack(n)
-    assert full_spectrum(stack).residual == \
-        max(full_spectrum(m).residual for m in stack)
+    for stack in [gossip_stack(n)] + isospectral_stacks(n):
+        assert full_spectrum(stack).residual == \
+            max(full_spectrum(m).residual for m in stack)
+
+
+def test_stack_residual_is_below_1e_13_on_verify_grid_up_to_n_60():
+    for n in range(3, 61):
+        for stack in [gossip_stack(n)] + isospectral_stacks(n):
+            assert full_spectrum(stack).residual < 1e-13, n
+
+
+# --- enumeration over an array of probabilities -------------------------------------
+
+ENUMERATION_PS = [0.0, 1.0] + cli._parse_grid("0.05:0.95:0.15") + [1e-300]
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_enumeration_of_a_p_array_is_the_bytes_of_per_p_calls(n):
+    stack = enumerate_failure_expectation(n, np.array(ENUMERATION_PS))
+    assert stack.shape == (len(ENUMERATION_PS), n, n)
+    for p, exact in zip(ENUMERATION_PS, stack):
+        assert exact.tobytes() == \
+            enumerate_failure_expectation(n, p).tobytes(), p
+
+
+@pytest.mark.parametrize("ps", [[0.5, 1.5], [-0.1], [0.2, math.nan], 2.0,
+                                math.nan, -1e-300])
+def test_enumeration_rejects_a_bad_p_before_any_product(monkeypatch, ps):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a product was built before p was checked")
+
+    monkeypatch.setattr(matrices, "optimal_schedule", must_not_run)
+    monkeypatch.setattr(matrices, "pair_update_matrix", must_not_run)
+    with pytest.raises(ValueError, match="must lie in"):
+        enumerate_failure_expectation(6, ps)
 
 
 @pytest.mark.parametrize("shape", [(1, MAX_SPECTRUM_ORDER + 1,

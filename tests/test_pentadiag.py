@@ -16,8 +16,9 @@ Proves:
   5. analytic_eigenvalues reproduces hand-solved small spectra, keeps the
      consensus eigenvalue 1 at every size, satisfies the trace identity,
      and enforces its preconditions.
-  6. second_largest_modulus extracts the subdominant modulus and insists on
-     the presence of the consensus eigenvalue.
+  6. second_largest_modulus extracts the subdominant modulus, insists on
+     the presence of the consensus eigenvalue, and rejects a stack of
+     spectra rather than reading it as one.
 """
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from latticegossip.pentadiag import (PentaParams, Spectrum, analytic_eigenvalues
                                      second_largest_modulus,
                                      weighted_gossip_params,
                                      _charpoly_bd_bd_odd_raw)
+from latticegossip.rates import rate_weighted
 
 # --- Chebyshev polynomials of the second kind --------------------------------
 
@@ -354,6 +356,15 @@ def test_second_largest_modulus_repeated_ones():
 def test_second_largest_modulus_requires_consensus_eigenvalue():
     with pytest.raises(ValueError):
         second_largest_modulus([0.9, 0.2, 0.1])
+
+
+def test_second_largest_modulus_rejects_a_stack_of_spectra():
+    stack = analytic_eigenvalues(weighted_gossip_params(8, [0.3, 0.8]))
+    with pytest.raises(ValueError, match="one spectrum"):
+        stack.second_largest_modulus
+    assert [second_largest_modulus(row) for row in stack.eigenvalues] == \
+        pytest.approx([rate_weighted(8, w).lambda2_modulus
+                       for w in (0.3, 0.8)], abs=1e-12)
 
 
 def test_second_largest_modulus_accepts_spectrum_objects():

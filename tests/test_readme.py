@@ -21,6 +21,6 @@ def test_readme_python_block_runs_and_prints_its_shapes():
     with contextlib.redirect_stdout(out):
         exec(compile(block, str(README), "exec"), {})
     shapes = re.findall(r"^print\(.*\)\s+# (\([\d, ]+\))", block, re.MULTILINE)
-    assert shapes == ["(2, 4, 4)", "(3, 8)"]
+    assert shapes == ["(2, 4, 4)", "(3, 8)", "(3, 8)", "(2, 6, 6)"]
     printed = out.getvalue().splitlines()
     assert [line for line in printed if line in shapes] == shapes
