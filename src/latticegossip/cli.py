@@ -258,7 +258,7 @@ def cmd_spectrum(args) -> int:
     (value,) = _resolve_grid(args, kind, [0.5])
     w = value if kind == "w" else (1.0 - value) * 0.5
     analytic = pentadiag.analytic_eigenvalues(
-        pentadiag.weighted_gossip_params(n, w)).eigenvalues
+        pentadiag.weighted_gossip_params(n, w))
     numeric = oracle.eigenvalues(
         oracle.isospectral_matrix(n, w)).astype(complex)
 
@@ -301,7 +301,7 @@ def _suite_spectra(n_max: int, seed: int) -> float:
                                   for w in chunk])
                 nums = oracle.full_spectrum(stack).eigenvalues
                 anas = pentadiag.analytic_eigenvalues(
-                    pentadiag.weighted_gossip_params(n, chunk)).eigenvalues
+                    pentadiag.weighted_gossip_params(n, chunk))
                 for ana, num in zip(anas, nums):
                     worst = max(worst,
                                 oracle.spectrum_match_distance(ana, num))
@@ -314,7 +314,6 @@ def _suite_charpoly(n_max: int, seed: int) -> float:
                      if o <= max(n_max, 6)})
     worst = 0.0
     for n in orders:
-        parity = "odd" if n % 2 == 1 else "even"
         for _ in range(3):
             e, b, c = rng.uniform(-1.5, 1.5, 3)
             d = b + c if n % 2 == 1 else rng.uniform(-1.5, 1.5)
@@ -327,7 +326,7 @@ def _suite_charpoly(n_max: int, seed: int) -> float:
                 a = pentadiag.penta_matrix(params, corners)
                 dets = oracle.determinant_shifted(a, lams).tolist()
                 for lam, det in zip(lams, dets):
-                    val = fam(params, parity, lam)
+                    val = fam(params, lam)
                     worst = max(worst,
                                 abs(val - det) / max(1.0, abs(det)))
     return worst
@@ -339,14 +338,15 @@ def _suite_failure_matrix(n_max: int, seed: int) -> float:
     for n in range(3, min(n_max, 10) + 1):
         exacts = oracle.enumerate_failure_expectation(n, ps)
         for p, exact in zip(ps, exacts):
-            built = matrices.expected_failure_matrix(n, p).entries
+            built = matrices.expected_failure_matrix(n, p)
             worst = max(worst, float(np.abs(exact - built).max()))
     return worst
 
 
 def _suite_simulator(n_max: int, seed: int) -> float:
     worst = 0.0
-    for n in range(4, min(n_max, 16) + 1, 4):
+    # Below n_max = 4 the grid of orders is empty: check n_max itself.
+    for n in range(4, min(n_max, 16) + 1, 4) or [n_max]:
         for w in (0.3, 0.5, 0.7):
             config = sim.SimConfig(n=n, w=w, p=0.0, seed=seed,
                                    max_periods=200, tolerance=1e-12)

@@ -3,7 +3,8 @@
 A period of the schedule activates two maximal matchings of the path: first
 every edge (2,3), (4,5), ... then every edge (1,2), (3,4), ....  The product
 of one period's pairwise averaging matrices is the primitive gossip matrix
-whose powers drive the consensus dynamics.
+whose powers drive the consensus dynamics.  Every builder returns the dense
+(n, n) array itself.
 
 One kernel, apply_period, applies a period to the rows of an array: the
 builders apply it to the identity and the simulator to the state.  The
@@ -34,14 +35,6 @@ class ScheduleSpec:
     e2: tuple[GossipPair, ...]
 
 
-@dataclass(frozen=True, eq=False)
-class GossipMatrix:
-    """Dense doubly stochastic update matrix."""
-
-    n: int
-    entries: np.ndarray
-
-
 def _check_pair(n: int, pair: GossipPair) -> None:
     i, j = pair
     if not (1 <= i < j <= n):
@@ -50,7 +43,7 @@ def _check_pair(n: int, pair: GossipPair) -> None:
         raise ValueError(f"pair {pair!r} is not a path edge (j must be i+1)")
 
 
-def pair_update_matrix(n: int, pair: GossipPair, w: float) -> GossipMatrix:
+def pair_update_matrix(n: int, pair: GossipPair, w: float) -> np.ndarray:
     """Identity except the 2x2 block [[1-w, w], [w, 1-w]] at rows/cols (i, j).
 
     w = 1/2 is the plain pairwise average; w = 1 swaps the two states and
@@ -63,7 +56,7 @@ def pair_update_matrix(n: int, pair: GossipPair, w: float) -> GossipMatrix:
     i, j = pair[0] - 1, pair[1] - 1
     m[i, i] = m[j, j] = 1.0 - w
     m[i, j] = m[j, i] = w
-    return GossipMatrix(n=n, entries=m)
+    return m
 
 
 def optimal_schedule(n: int) -> ScheduleSpec:
@@ -105,7 +98,7 @@ def apply_period(x: np.ndarray, w) -> np.ndarray:
     return x
 
 
-def primitive_gossip_matrix(n: int, w: float) -> GossipMatrix:
+def primitive_gossip_matrix(n: int, w: float) -> np.ndarray:
     """One full period of weighted gossip: the e2 round applied after e1.
 
     Returns W = S2 @ S1 where S1/S2 multiply out the e1/e2 matchings, i.e.
@@ -116,10 +109,10 @@ def primitive_gossip_matrix(n: int, w: float) -> GossipMatrix:
         raise ValueError(f"primitive gossip matrix needs n >= 3, got n={n}")
     if not 0.0 <= w <= 1.0:
         raise ValueError(f"gossip weight must lie in [0, 1], got {w}")
-    return GossipMatrix(n=n, entries=apply_period(np.eye(n), w))
+    return apply_period(np.eye(n), w)
 
 
-def expected_failure_matrix(n: int, p: float) -> GossipMatrix:
+def expected_failure_matrix(n: int, p: float) -> np.ndarray:
     """Expected one-period matrix when each link independently fails.
 
     Each pairwise average is replaced by identity with probability p, so the
@@ -131,4 +124,4 @@ def expected_failure_matrix(n: int, p: float) -> GossipMatrix:
         raise ValueError(f"expected failure matrix needs n >= 3, got n={n}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"failure probability must lie in [0, 1], got {p}")
-    return GossipMatrix(n=n, entries=apply_period(np.eye(n), (1.0 - p) / 2.0))
+    return apply_period(np.eye(n), (1.0 - p) / 2.0)

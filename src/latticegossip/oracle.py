@@ -61,7 +61,7 @@ class OracleSpectrum:
 
 
 def _as_square_array(a) -> np.ndarray:
-    m = np.asarray(getattr(a, "entries", a), dtype=float)
+    m = np.asarray(a, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     return m
@@ -83,7 +83,7 @@ def determinant_shifted(a, lam):
 def _as_matrices(a) -> np.ndarray:
     """a as a nonempty square float array, or a (k, n, n) stack of them,
     within the order limit."""
-    m = np.asarray(getattr(a, "entries", a), dtype=float)
+    m = np.asarray(a, dtype=float)
     if m.ndim != 3 or m.shape[1] != m.shape[2]:
         m = _as_square_array(m)
     if m.size == 0:
@@ -216,7 +216,7 @@ def enumerate_failure_expectation(n: int, p):
     for pair in sched.e1 + sched.e2:
         up = np.flatnonzero((masks >> (pair.i - 1) & 1) == 0)
         pair_stack = np.repeat(
-            matrices.pair_update_matrix(n, pair, 0.5).entries[None],
+            matrices.pair_update_matrix(n, pair, 0.5)[None],
             up.size, axis=0)
         periods[up] = pair_stack @ periods[up]
     failed = np.array([bin(mask).count("1") for mask in masks.tolist()])
@@ -269,9 +269,9 @@ def isospectral_matrix(n: int, w: float) -> np.ndarray:
     and W(w) itself is returned.
     """
     if w > 0.5:
-        return matrices.primitive_gossip_matrix(n, w).entries
+        return matrices.primitive_gossip_matrix(n, w)
     h = w / (1.0 + math.sqrt(1.0 - 2.0 * w))
-    c = matrices.primitive_gossip_matrix(n, h).entries
+    c = matrices.primitive_gossip_matrix(n, h)
     g = c.T @ c
     return g if n % 2 else (g + g[::-1, ::-1]) / 2
 

@@ -17,15 +17,16 @@ The V_m satisfy the plain polynomial recurrence
     V_m = (Y^2 + c^2 - 2 b^2) * V_{m-1} - z^2 * V_{m-2},  V_0 = 1, V_{-1} = 0,
 
 so every formula below is a polynomial in lambda and stays finite at z = 0,
-where the unscaled U_m(x) has a pole in x.  chebyshev_u is still exposed on
-its own because the trigonometric identity U_m(cos t) sin t = sin((m+1) t)
-is the cleanest way to test the recurrence.
+where the unscaled U_m(x) has a pole in x.  The characteristic polynomials
+hold for alpha = beta = 0 and reject any other corner perturbation.
 
 The closed-form eigenvalues come in array passes: weighted_gossip_params
 takes a 1-D array of weights as well as one weight, and
 analytic_eigenvalues solves every cosine-grid quadratic of every weight in
 one set of array operations.  One weight is the one-entry case of the same
 code, and each entry of an array has the bits of its own one-weight call.
+Eigenvalues are plain complex arrays: (n,) for one matrix, (k, n) for a
+stack.
 """
 from __future__ import annotations
 
@@ -56,17 +57,6 @@ class PentaParams:
     def __post_init__(self) -> None:
         if self.n < 3:
             raise ValueError(f"matrix order must be >= 3, got n={self.n}")
-
-
-@dataclass(frozen=True, eq=False)
-class Spectrum:
-    """Multiset of complex eigenvalues."""
-
-    eigenvalues: np.ndarray
-
-    @property
-    def second_largest_modulus(self) -> float:
-        return second_largest_modulus(self)
 
 
 def penta_matrix(params: PentaParams,
@@ -131,18 +121,6 @@ def link_failure_params(n: int, p: float) -> PentaParams:
     return weighted_gossip_params(n, (1.0 - p) / 2.0)
 
 
-def chebyshev_u(m: int, x: complex) -> complex:
-    """Second-kind Chebyshev value U_m(x) for any complex x, m >= -1."""
-    if m < -1:
-        raise ValueError(f"degree must be >= -1, got m={m}")
-    prev, cur = 0.0, 1.0  # U_{-1}, U_0
-    if m == -1:
-        return prev
-    for _ in range(m):
-        prev, cur = cur, 2 * x * cur - prev
-    return cur
-
-
 # --- characteristic polynomials -----------------------------------------
 
 
@@ -157,24 +135,28 @@ def _v_values(y: complex, b: float, c: float, kmax: int) -> list[complex]:
     return vs
 
 
-def _check_parity(params: PentaParams, parity: str) -> None:
-    if parity not in ("odd", "even"):
-        raise ValueError(f"parity must be 'odd' or 'even', got {parity!r}")
-    if (params.n % 2 == 1) != (parity == "odd"):
-        raise ValueError(f"parity {parity!r} inconsistent with order n={params.n}")
+def _check_alpha_beta(params: PentaParams) -> float:
+    """Reject a nonzero alpha or beta, which no charpoly formula covers, and
+    return the scale of the relative tolerance tests."""
+    scale = max(1.0, abs(params.b), abs(params.c), abs(params.d))
+    if abs(params.alpha) > _REL_TOL * scale or \
+            abs(params.beta) > _REL_TOL * scale:
+        raise ValueError(
+            "characteristic polynomials require alpha = beta = 0; "
+            f"got alpha={params.alpha!r}, beta={params.beta!r}")
+    return scale
 
 
-def charpoly_bb(params: PentaParams, parity: str, lam: complex) -> complex:
+def charpoly_bb(params: PentaParams, lam: complex) -> complex:
     """det(A - lam*I) for the variant with both corner couplings equal to b.
 
-    Only e, b, c enter; the d field and the diagonal corner perturbations
-    alpha/beta play no role in this variant.
+    Only e, b, c enter; d plays no role in this variant.
     """
-    _check_parity(params, parity)
+    _check_alpha_beta(params)
     y = params.e - lam
     b, c = params.b, params.c
     z = c * y - b * b
-    if parity == "odd":
+    if params.n % 2 == 1:
         m = (params.n - 1) // 2
         vs = _v_values(y, b, c, m)
         return y * vs[m + 1] - c * z * vs[m]
@@ -183,16 +165,16 @@ def charpoly_bb(params: PentaParams, parity: str, lam: complex) -> complex:
     return vs[m + 1] + (b * b - c * c) * vs[m]
 
 
-def charpoly_bb_bd(params: PentaParams, parity: str, lam: complex) -> complex:
+def charpoly_bb_bd(params: PentaParams, lam: complex) -> complex:
     """det(A - lam*I) with the top corner coupling b and the bottom one d.
 
-    Reduces to charpoly_bb when d = b.  alpha/beta play no role.
+    Reduces to charpoly_bb when d = b.
     """
-    _check_parity(params, parity)
+    _check_alpha_beta(params)
     y = params.e - lam
     b, c, d = params.b, params.c, params.d
     z = c * y - b * b
-    if parity == "odd":
+    if params.n % 2 == 1:
         m = (params.n - 1) // 2
         vs = _v_values(y, b, c, m)
         return y * vs[m + 1] - (c * z + (d - b) * b * (y - c)) * vs[m]
@@ -214,18 +196,17 @@ def _charpoly_bd_bd_odd_raw(params: PentaParams, lam: complex) -> complex:
             - c * c * y * z * vs[m - 1])
 
 
-def charpoly_bd_bd(params: PentaParams, parity: str, lam: complex) -> complex:
+def charpoly_bd_bd(params: PentaParams, lam: complex) -> complex:
     """det(A - lam*I) with both corner couplings equal to d.
 
     The odd-order closed form is only established under d - b = c, and it
     genuinely fails outside that constraint, so violating parameters are
     rejected.  The even-order form holds for arbitrary d.  Reduces to
-    charpoly_bb when d = b.  alpha/beta play no role.
+    charpoly_bb when d = b.
     """
-    _check_parity(params, parity)
+    scale = _check_alpha_beta(params)
     b, c, d = params.b, params.c, params.d
-    if parity == "odd":
-        scale = max(1.0, abs(b), abs(c), abs(d))
+    if params.n % 2 == 1:
         if abs((d - b) - c) > _REL_TOL * scale:
             raise ValueError(
                 "odd-order charpoly_bd_bd requires d - b = c; "
@@ -271,8 +252,8 @@ def _quadratic_roots(bcoef: np.ndarray,
     return y1, y2
 
 
-def analytic_eigenvalues(params: PentaParams) -> Spectrum:
-    """All n eigenvalues of A in closed form.
+def analytic_eigenvalues(params: PentaParams) -> np.ndarray:
+    """All n eigenvalues of A in closed form, as an (n,) complex array.
 
     Valid only when alpha = beta = -b and d - b = c (both gossip
     parameterizations satisfy this).  Each eigenvalue is e - Y where the Y
@@ -332,19 +313,17 @@ def analytic_eigenvalues(params: PentaParams) -> Spectrum:
     ys[:, len(explicit)::2] = y1
     ys[:, len(explicit) + 1::2] = y2
     eigs = e[:, None] - ys
-    return Spectrum(eigenvalues=eigs if stacked else eigs[0])
+    return eigs if stacked else eigs[0]
 
 
-def second_largest_modulus(spectrum: Spectrum | np.ndarray) -> float:
+def second_largest_modulus(eigenvalues) -> float:
     """Largest modulus after removing one eigenvalue closest to 1.
 
     The input must contain an eigenvalue within 1e-9 of 1 (every valid
     gossip matrix does); otherwise the request is rejected.  So is a stack
     of spectra, such as analytic_eigenvalues gives for an array of weights.
     """
-    eigs = np.asarray(
-        spectrum.eigenvalues if isinstance(spectrum, Spectrum) else spectrum,
-        dtype=complex)
+    eigs = np.asarray(eigenvalues, dtype=complex)
     if eigs.ndim > 1:
         raise ValueError(f"expected one spectrum, got shape {eigs.shape}")
     eigs = eigs.ravel()

@@ -8,7 +8,8 @@ Proves:
      series have the right shapes and anchor values; fig7 rows are
      rate_link_failure's rates from one rate_weighted call each.
   3. verify runs its suites and reports PASS with exit code 0 on the
-     shipped implementation, and argument validation fails loudly.
+     shipped implementation, the simulator suite simulates even below
+     n_max = 4, and argument validation fails loudly.
   4. The report commands and spectrum read eigenvalues only: they run with
      the eigenpair solver disabled.  Rows and spectra at w <= 1/2 (every
      link-failure row among them) run with the general solver disabled,
@@ -263,6 +264,12 @@ def test_verify_all_tiny_sizes(capsys):
     code, out = run_cli(capsys, "verify", "--n-max", "6")
     assert code == 0
     assert out.count("PASS") >= 5
+    # Below n_max = 4 the simulator suite simulates at n_max itself, so its
+    # worst gap is a measured one, not the 0 of an empty loop.
+    code, out = run_cli(capsys, "verify", "--scope", "simulator",
+                        "--n-max", "3")
+    assert code == 0
+    assert 0.0 < float(out.split("rate: ")[1].split()[0]) <= 0.05
 
 
 def test_verify_rejects_tiny_n_max(capsys):
@@ -303,7 +310,7 @@ def looped_spectra(n_max, seed):
     for n in range(3, n_max + 1):
         for w in weights:
             ana = pentadiag.analytic_eigenvalues(
-                pentadiag.weighted_gossip_params(n, w)).eigenvalues
+                pentadiag.weighted_gossip_params(n, w))
             num = oracle.full_spectrum(
                 oracle.isospectral_matrix(n, w)).eigenvalues
             worst = max(worst, oracle.spectrum_match_distance(ana, num))
@@ -316,7 +323,6 @@ def looped_charpoly(n_max, seed):
                      if o <= max(n_max, 6)})
     worst = 0.0
     for n in orders:
-        parity = "odd" if n % 2 == 1 else "even"
         for _ in range(3):
             e, b, c = rng.uniform(-1.5, 1.5, 3)
             d = b + c if n % 2 == 1 else rng.uniform(-1.5, 1.5)
@@ -329,7 +335,7 @@ def looped_charpoly(n_max, seed):
                 a = pentadiag.penta_matrix(params, corners)
                 for lam in lams:
                     det = oracle.determinant_shifted(a, lam)
-                    val = fam(params, parity, lam)
+                    val = fam(params, lam)
                     worst = max(worst,
                                 abs(val - det) / max(1.0, abs(det)))
     return worst
@@ -340,7 +346,7 @@ def looped_failure_matrix(n_max, seed):
     for n in range(3, min(n_max, 10) + 1):
         for p in cli._parse_grid("0:1:0.1"):
             exact = oracle.enumerate_failure_expectation(n, p)
-            built = matrices.expected_failure_matrix(n, p).entries
+            built = matrices.expected_failure_matrix(n, p)
             worst = max(worst, float(np.abs(exact - built).max()))
     return worst
 
@@ -432,8 +438,7 @@ def test_spectra_suite_is_within_1e_13_of_the_unreduced_solve(monkeypatch):
         weights = sorted(reduced)
         # numpy's general solve of each whole W: the solvers would split it.
         full = np.linalg.eigvals(np.stack([
-            matrices.primitive_gossip_matrix(n, w).entries
-            for w in weights]))
+            matrices.primitive_gossip_matrix(n, w) for w in weights]))
         for w, num in zip(weights, full):
             assert oracle.spectrum_match_distance(reduced[w], num) <= 1e-13, \
                 (n, w)

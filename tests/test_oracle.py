@@ -92,9 +92,9 @@ def test_determinant_matches_corner_composition():
         return PentaParams(alpha=0.0, beta=0.0, e=gp.e, b=gp.b, c=gp.c,
                            d=gp.d, n=order)
 
-    composed = (charpoly_bd_bd(core(n), "odd", lam)
-                + 2 * b * charpoly_bb_bd(core(n - 1), "even", lam)
-                + b * b * charpoly_bb(core(n - 2), "odd", lam))
+    composed = (charpoly_bd_bd(core(n), lam)
+                + 2 * b * charpoly_bb_bd(core(n - 1), lam)
+                + b * b * charpoly_bb(core(n - 2), lam))
     direct = determinant_shifted(primitive_gossip_matrix(n, w), lam)
     assert abs(composed - direct) / abs(direct) < 1e-8
 
@@ -162,7 +162,7 @@ def test_spectrum_order_cap():
 
 def test_enumeration_p_zero_is_plain_average():
     exact = enumerate_failure_expectation(3, 0.0)
-    assert np.allclose(exact, primitive_gossip_matrix(3, 0.5).entries,
+    assert np.allclose(exact, primitive_gossip_matrix(3, 0.5),
                        atol=1e-15)
 
 
@@ -172,7 +172,7 @@ def test_enumeration_half_failure_top_corner():
 
 def test_enumeration_matches_expected_matrix():
     exact = enumerate_failure_expectation(6, 0.3)
-    built = expected_failure_matrix(6, 0.3).entries
+    built = expected_failure_matrix(6, 0.3)
     assert np.abs(exact - built).max() < 1e-12
 
 
@@ -278,7 +278,7 @@ def per_mask_expectation(n, p):
     order."""
     sched = optimal_schedule(n)
     edges = [(i, i + 1) for i in range(1, n)]
-    pair_mats = {pair: pair_update_matrix(n, pair, 0.5).entries
+    pair_mats = {pair: pair_update_matrix(n, pair, 0.5)
                  for pair in sched.e1 + sched.e2}
     total = np.zeros((n, n))
     for mask in range(1 << (n - 1)):
@@ -315,7 +315,7 @@ VERIFY_WEIGHTS = sorted(set(cli._parse_grid("0.05:0.95:0.05"))
 
 
 def gossip_stack(n, weights=VERIFY_WEIGHTS):
-    return np.stack([primitive_gossip_matrix(n, w).entries for w in weights])
+    return np.stack([primitive_gossip_matrix(n, w) for w in weights])
 
 
 def test_stacked_solves_are_the_bits_of_one_matrix_solves_up_to_n_60():
@@ -465,7 +465,7 @@ def test_oracle_matrix_has_the_spectrum_of_w_up_to_n_60():
             gram = eigenvalues(isospectral_matrix(n, w))
             assert gram.dtype == float
             assert spectrum_match_distance(gram, np.linalg.eigvals(
-                primitive_gossip_matrix(n, w).entries)) <= 1e-13, (n, w)
+                primitive_gossip_matrix(n, w))) <= 1e-13, (n, w)
 
 
 @pytest.mark.parametrize("n", [127, 224, 512])
@@ -473,12 +473,12 @@ def test_oracle_matrix_has_the_spectrum_of_w_up_to_n_60():
 def test_oracle_matrix_has_the_spectrum_of_w_at_large_n(n, w):
     assert spectrum_match_distance(
         eigenvalues(isospectral_matrix(n, w)),
-        np.linalg.eigvals(primitive_gossip_matrix(n, w).entries)) <= 1e-13
+        np.linalg.eigvals(primitive_gossip_matrix(n, w))) <= 1e-13
 
 
 def test_oracle_matrix_above_half_is_the_period_matrix():
     assert np.array_equal(isospectral_matrix(9, 0.8),
-                          primitive_gossip_matrix(9, 0.8).entries)
+                          primitive_gossip_matrix(9, 0.8))
 
 
 @pytest.mark.parametrize("symmetric", [True, False])
@@ -533,7 +533,7 @@ def test_full_spectrum_sends_symmetric_input_to_eigh_once(monkeypatch, m,
 def test_halves_have_the_spectrum_of_w_up_to_n_60():
     for n in range(4, 61):
         for w in VERIFY_WEIGHTS:
-            m = primitive_gossip_matrix(n, w).entries
+            m = primitive_gossip_matrix(n, w)
             halves = reflection_halves(m)
             if n % 2 == 0:
                 assert np.array_equal(m, m[::-1, ::-1]), (n, w)
@@ -545,7 +545,7 @@ def test_halves_have_the_spectrum_of_w_up_to_n_60():
 @pytest.mark.parametrize("n", [128, 224, 320, 416, 512])
 @pytest.mark.parametrize("w", [0.55, 0.8, 0.95])
 def test_halves_have_the_spectrum_of_w_at_large_n(n, w):
-    m = primitive_gossip_matrix(n, w).entries
+    m = primitive_gossip_matrix(n, w)
     assert reflection_halves(m).shape == (2, n // 2, n // 2)
     assert spectrum_match_distance(eigenvalues(m),
                                    np.linalg.eigvals(m)) <= 1e-13
@@ -593,7 +593,7 @@ def test_gap_solves_one_half_order_stack_at_even_n(monkeypatch, n):
 @pytest.mark.parametrize("w", [0.3, 0.8])
 def test_odd_order_is_solved_whole_with_the_bits_of_eigenvalues(monkeypatch,
                                                                  n, w):
-    m = primitive_gossip_matrix(n, w).entries
+    m = primitive_gossip_matrix(n, w)
     assert reflection_halves(m) is m
     whole = np.linalg.eigvals(m)
     calls = record_solves(monkeypatch)
@@ -604,7 +604,7 @@ def test_odd_order_is_solved_whole_with_the_bits_of_eigenvalues(monkeypatch,
 
 @pytest.mark.parametrize("n", [4, 10, 64])
 def test_one_ulp_off_the_rotation_is_solved_whole(n):
-    m = primitive_gossip_matrix(n, 0.8).entries.copy()
+    m = primitive_gossip_matrix(n, 0.8)
     m[0, 1] = np.nextafter(m[0, 1], 1.0)
     assert reflection_halves(m) is m
     assert np.array_equal(eigenvalues(m), np.linalg.eigvals(m))

@@ -2,8 +2,9 @@
 closed-form spectra.
 
 Proves:
-  1. chebyshev_u implements the second-kind Chebyshev recurrence, including
-     the degree -1 seed and the trigonometric identity on (0, pi).
+  1. The scaled recurrence behind every charpoly gives
+     V_m = z^m U_m(t / (2z)): its seeds, first terms and the
+     trigonometric identity U_m(cos th) sin th = sin((m+1) th).
   2. penta_matrix places every band, corner, and parity-dependent override
      exactly where the template says (hand-written 5x5 and 6x6 references).
   3. Each closed-form characteristic polynomial agrees with an LU-based
@@ -12,7 +13,8 @@ Proves:
      naive Chebyshev-argument evaluation would divide by zero.
   4. The all-corner form with odd order genuinely requires d - b = c: the
      guarded function raises, and the raw formula provably disagrees with
-     the determinant when the constraint is broken.
+     the determinant when the constraint is broken.  Every charpoly rejects
+     nonzero corner shifts alpha, beta, which none of them models.
   5. analytic_eigenvalues reproduces hand-solved small spectra, keeps the
      consensus eigenvalue 1 at every size, satisfies the trace identity,
      and enforces its preconditions.
@@ -26,37 +28,40 @@ import pytest
 from latticegossip.matrices import expected_failure_matrix, primitive_gossip_matrix
 from latticegossip.oracle import (determinant_shifted, full_spectrum,
                                   spectrum_match_distance)
-from latticegossip.pentadiag import (PentaParams, Spectrum, analytic_eigenvalues,
+from latticegossip.pentadiag import (PentaParams, analytic_eigenvalues,
                                      charpoly_bb, charpoly_bb_bd,
-                                     charpoly_bd_bd, chebyshev_u,
-                                     link_failure_params, penta_matrix,
-                                     second_largest_modulus,
+                                     charpoly_bd_bd, link_failure_params,
+                                     penta_matrix, second_largest_modulus,
                                      weighted_gossip_params,
-                                     _charpoly_bd_bd_odd_raw)
+                                     _charpoly_bd_bd_odd_raw, _v_values)
 from latticegossip.rates import rate_weighted
 
-# --- Chebyshev polynomials of the second kind --------------------------------
+# --- scaled Chebyshev polynomials of the second kind ---------------------------
 
 
 def test_chebyshev_seeds_and_small_values():
-    assert chebyshev_u(0, 0.123) == 1.0
-    assert chebyshev_u(-1, 0.123) == 0.0
-    assert chebyshev_u(1, 0.7) == pytest.approx(1.4)
-    assert chebyshev_u(2, 1.0) == pytest.approx(3.0)
-    assert chebyshev_u(3, 0.5) == pytest.approx(-1.0)
-
-
-def test_chebyshev_rejects_degree_below_minus_one():
-    with pytest.raises(ValueError):
-        chebyshev_u(-2, 0.5)
+    # V_m = z^m U_m(t / (2z)) with U_1(x) = 2x, U_2 = 4x^2 - 1,
+    # U_3 = 8x^3 - 4x.
+    y, b, c = 0.7, 0.3, 0.2
+    z, t = c * y - b * b, y * y + c * c - 2 * b * b
+    assert _v_values(y, b, c, 0) == [0.0, 1.0]
+    _, _, v1, v2, v3 = _v_values(y, b, c, 3)
+    assert v1 == pytest.approx(t)
+    assert v2 == pytest.approx(t * t - z * z)
+    assert v3 == pytest.approx(t ** 3 - 2 * t * z * z)
 
 
 @pytest.mark.parametrize("m", [0, 1, 2, 3, 5, 8, 12])
 def test_chebyshev_trig_identity(m):
-    theta = np.linspace(0.05, np.pi - 0.05, 40)
-    for t in theta:
-        lhs = chebyshev_u(m, np.cos(t)) * np.sin(t)
-        assert lhs == pytest.approx(np.sin((m + 1) * t), abs=1e-10)
+    # At cos(th) = t / (2z), V_m sin(th) = z^m sin((m+1) th); th is complex
+    # wherever t / (2z) is not a real number in [-1, 1].
+    rng = np.random.default_rng(m)
+    b, c = 0.6, 0.35
+    for y in rng.uniform(-2, 2, 40) + 1j * rng.uniform(-2, 2, 40):
+        z, t = c * y - b * b, y * y + c * c - 2 * b * b
+        th = np.arccos(t / (2 * z))
+        lhs = _v_values(y, b, c, m)[m + 1] * np.sin(th)
+        assert lhs == pytest.approx(z ** m * np.sin((m + 1) * th), rel=1e-9)
 
 
 # --- template placement -------------------------------------------------------
@@ -119,11 +124,7 @@ def test_smallest_odd_order_matches_hand_cubic():
     for lam in (0.05, 0.4 + 0.3j, 1.2):
         y = e - lam
         hand = y**3 - 2 * b * b * y + c * b * b
-        assert charpoly_bb(p, "odd", lam) == pytest.approx(hand, rel=1e-13)
-
-
-def _parity(n):
-    return "odd" if n % 2 == 1 else "even"
+        assert charpoly_bb(p, lam) == pytest.approx(hand, rel=1e-13)
 
 
 def _random_params(rng, n, constrained=False):
@@ -147,7 +148,7 @@ def test_charpoly_bb_matches_determinant(n):
     params = _random_params(rng, n)
     matrix = penta_matrix(params, corners=("bb", "bb"))
     for lam in _random_lambdas(rng):
-        assert _rel_err(charpoly_bb(params, _parity(n), lam),
+        assert _rel_err(charpoly_bb(params, lam),
                         determinant_shifted(matrix, lam)) < 1e-8
 
 
@@ -157,7 +158,7 @@ def test_charpoly_bb_bd_matches_determinant(n):
     params = _random_params(rng, n)
     matrix = penta_matrix(params, corners=("bb", "bd"))
     for lam in _random_lambdas(rng):
-        assert _rel_err(charpoly_bb_bd(params, _parity(n), lam),
+        assert _rel_err(charpoly_bb_bd(params, lam),
                         determinant_shifted(matrix, lam)) < 1e-8
 
 
@@ -167,7 +168,7 @@ def test_charpoly_bd_bd_odd_matches_determinant(n):
     params = _random_params(rng, n, constrained=True)  # odd orders need d-b=c
     matrix = penta_matrix(params)
     for lam in _random_lambdas(rng):
-        assert _rel_err(charpoly_bd_bd(params, "odd", lam),
+        assert _rel_err(charpoly_bd_bd(params, lam),
                         determinant_shifted(matrix, lam)) < 1e-8
 
 
@@ -178,7 +179,7 @@ def test_charpoly_bd_bd_even_matches_determinant(n, constrained):
     params = _random_params(rng, n, constrained=constrained)
     matrix = penta_matrix(params)
     for lam in _random_lambdas(rng):
-        assert _rel_err(charpoly_bd_bd(params, "even", lam),
+        assert _rel_err(charpoly_bd_bd(params, lam),
                         determinant_shifted(matrix, lam)) < 1e-8
 
 
@@ -189,8 +190,8 @@ def test_charpoly_bb_bd_reduces_to_bb_when_d_equals_b():
         params = PentaParams(alpha=0.0, beta=0.0, e=float(e), b=float(b),
                              c=float(c), d=float(b), n=n)
         for lam in _random_lambdas(rng, count=6):
-            assert charpoly_bb_bd(params, _parity(n), lam) == pytest.approx(
-                charpoly_bb(params, _parity(n), lam), rel=1e-12)
+            assert charpoly_bb_bd(params, lam) == pytest.approx(
+                charpoly_bb(params, lam), rel=1e-12)
 
 
 def test_charpoly_gossip_parameterization_order_seven():
@@ -204,7 +205,7 @@ def test_charpoly_gossip_parameterization_order_seven():
     matrix = penta_matrix(core)
     rng = np.random.default_rng(5)
     for lam in _random_lambdas(rng):
-        assert _rel_err(charpoly_bd_bd(core, "odd", lam),
+        assert _rel_err(charpoly_bd_bd(core, lam),
                         determinant_shifted(matrix, lam)) < 1e-10
 
 
@@ -223,7 +224,7 @@ def test_charpoly_at_vanishing_z(family):
     matrix = penta_matrix(params, corners=corners)
     for y in (b * b / c, b * b / c + 1e-13):
         lam = e - y
-        assert _rel_err(func(params, _parity(n), lam),
+        assert _rel_err(func(params, lam),
                         determinant_shifted(matrix, lam)) < 1e-8
 
 
@@ -234,22 +235,25 @@ def test_charpoly_bb_bd_at_y_equals_c():
     params = PentaParams(alpha=0.0, beta=0.0, e=e, b=b, c=c, d=d, n=7)
     matrix = penta_matrix(params, corners=("bb", "bd"))
     lam = e - c  # Y = e - lam = c exactly
-    assert _rel_err(charpoly_bb_bd(params, "odd", lam),
+    assert _rel_err(charpoly_bb_bd(params, lam),
                     determinant_shifted(matrix, lam)) < 1e-10
 
 
 def test_charpoly_bd_bd_odd_rejects_unconstrained_d():
     params = PentaParams(alpha=0.0, beta=0.0, e=1.0, b=0.5, c=0.3, d=0.9, n=7)
     with pytest.raises(ValueError):
-        charpoly_bd_bd(params, "odd", 0.2)
+        charpoly_bd_bd(params, 0.2)
 
 
-def test_charpoly_rejects_inconsistent_parity():
-    params = PentaParams(alpha=0.0, beta=0.0, e=1.0, b=0.5, c=0.3, d=0.8, n=6)
-    with pytest.raises(ValueError):
-        charpoly_bb(params, "odd", 0.2)
-    with pytest.raises(ValueError):
-        charpoly_bb(params, "diagonal", 0.2)
+@pytest.mark.parametrize("n", [7, 8])
+def test_charpoly_rejects_corner_shifts(n):
+    # The gossip parameters carry alpha = beta = -b, which no charpoly
+    # formula includes: each one rejects them rather than answer for the
+    # alpha = beta = 0 matrix.
+    params = weighted_gossip_params(n, 0.3)
+    for func in (charpoly_bb, charpoly_bb_bd, charpoly_bd_bd):
+        with pytest.raises(ValueError, match="alpha = beta = 0"):
+            func(params, 0.37 + 0.1j)
 
 
 def test_bd_bd_odd_formula_truly_needs_the_constraint():
@@ -272,13 +276,13 @@ def _sorted_real(values):
 
 def test_analytic_spectrum_three_nodes_half_weight():
     spec = analytic_eigenvalues(weighted_gossip_params(3, 0.5))
-    assert _sorted_real(spec.eigenvalues) == pytest.approx(
+    assert _sorted_real(spec) == pytest.approx(
         [0.0, 0.25, 1.0], abs=1e-12)
 
 
 def test_analytic_spectrum_four_nodes_half_weight():
     spec = analytic_eigenvalues(weighted_gossip_params(4, 0.5))
-    assert _sorted_real(spec.eigenvalues) == pytest.approx(
+    assert _sorted_real(spec) == pytest.approx(
         [0.0, 0.0, 0.5, 1.0], abs=1e-12)
 
 
@@ -286,14 +290,14 @@ def test_analytic_spectrum_four_nodes_half_weight():
 def test_analytic_spectrum_contains_consensus_eigenvalue(n):
     for w in (0.2, 0.5, 0.8):
         spec = analytic_eigenvalues(weighted_gossip_params(n, w))
-        assert len(spec.eigenvalues) == n
-        assert min(abs(v - 1.0) for v in spec.eigenvalues) < 1e-9
+        assert spec.shape == (n,)
+        assert min(abs(v - 1.0) for v in spec) < 1e-9
 
 
 @pytest.mark.parametrize("w", [0.1, 0.45, 0.5, 0.73])
 def test_even_order_carries_the_one_minus_two_w_eigenvalue(w):
     spec = analytic_eigenvalues(weighted_gossip_params(8, w))
-    assert min(abs(v - (1 - 2 * w)) for v in spec.eigenvalues) < 1e-12
+    assert min(abs(v - (1 - 2 * w)) for v in spec) < 1e-12
 
 
 @pytest.mark.parametrize("n", [3, 4, 9, 10, 25, 26])
@@ -301,14 +305,14 @@ def test_even_order_carries_the_one_minus_two_w_eigenvalue(w):
 def test_trace_identity(n, w):
     params = weighted_gossip_params(n, w)
     spec = analytic_eigenvalues(params)
-    assert sum(spec.eigenvalues) == pytest.approx(
+    assert sum(spec) == pytest.approx(
         np.trace(penta_matrix(params)), abs=1e-8)
 
 
 @pytest.mark.parametrize("n", list(range(3, 30)) + [47, 64, 85, 100])
 @pytest.mark.parametrize("w", [0.05, 0.3, 0.5, 0.7, 0.95])
 def test_analytic_matches_numeric_weighted(n, w):
-    analytic = analytic_eigenvalues(weighted_gossip_params(n, w)).eigenvalues
+    analytic = analytic_eigenvalues(weighted_gossip_params(n, w))
     numeric = full_spectrum(primitive_gossip_matrix(n, w)).eigenvalues
     assert spectrum_match_distance(analytic, numeric) < 1e-8
 
@@ -318,8 +322,7 @@ def test_analytic_matches_numeric_link_failure(n):
     for p in np.arange(0.0, 0.95, 0.1):
         analytic = analytic_eigenvalues(link_failure_params(n, float(p)))
         numeric = full_spectrum(expected_failure_matrix(n, float(p)))
-        assert spectrum_match_distance(analytic.eigenvalues,
-                                       numeric.eigenvalues) < 1e-8
+        assert spectrum_match_distance(analytic, numeric.eigenvalues) < 1e-8
 
 
 def test_analytic_requires_matching_corners():
@@ -342,6 +345,8 @@ def test_analytic_requires_d_minus_b_equals_c():
 
 def test_second_largest_modulus_basic():
     assert second_largest_modulus([1.0, 0.25, 0.0]) == pytest.approx(0.25)
+    assert second_largest_modulus((1.0, 0.5 + 0.1j, 0.2)) == pytest.approx(
+        abs(0.5 + 0.1j))
 
 
 def test_second_largest_modulus_complex_pair():
@@ -361,12 +366,8 @@ def test_second_largest_modulus_requires_consensus_eigenvalue():
 def test_second_largest_modulus_rejects_a_stack_of_spectra():
     stack = analytic_eigenvalues(weighted_gossip_params(8, [0.3, 0.8]))
     with pytest.raises(ValueError, match="one spectrum"):
-        stack.second_largest_modulus
-    assert [second_largest_modulus(row) for row in stack.eigenvalues] == \
+        second_largest_modulus(stack)
+    assert [second_largest_modulus(row) for row in stack] == \
         pytest.approx([rate_weighted(8, w).lambda2_modulus
                        for w in (0.3, 0.8)], abs=1e-12)
 
-
-def test_second_largest_modulus_accepts_spectrum_objects():
-    spec = Spectrum(eigenvalues=(1.0, 0.5 + 0.1j, 0.2))
-    assert second_largest_modulus(spec) == pytest.approx(abs(0.5 + 0.1j))

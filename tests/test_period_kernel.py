@@ -43,7 +43,7 @@ def dense_period(n, weights):
     for matching in (sched.e1, sched.e2):
         m = np.eye(n)
         for pair in matching:
-            m = pair_update_matrix(n, pair, weights[pair.i - 1]).entries @ m
+            m = pair_update_matrix(n, pair, weights[pair.i - 1]) @ m
         rounds.append(m)
     return rounds[1] @ rounds[0]
 
@@ -54,7 +54,7 @@ def dense_period(n, weights):
 @pytest.mark.parametrize("n", [3, 4, 7, 10, 33, 64])
 @pytest.mark.parametrize("w", [0.05, 0.3, 0.45, 0.5, 0.7, 0.95])
 def test_primitive_matrix_is_bit_equal_to_dense_product(n, w):
-    built = primitive_gossip_matrix(n, w).entries
+    built = primitive_gossip_matrix(n, w)
     assert np.array_equal(built, dense_period(n, [w] * (n - 1)))
 
 
@@ -98,8 +98,8 @@ def test_strided_inputs_give_the_contiguous_result():
 @pytest.mark.parametrize("p", [0.0, 0.1, 0.35, 0.9, 1.0])
 def test_link_failure_is_weighted_gossip_at_half_one_minus_p(n, p):
     w = (1.0 - p) / 2.0
-    assert np.array_equal(expected_failure_matrix(n, p).entries,
-                          primitive_gossip_matrix(n, w).entries)
+    assert np.array_equal(expected_failure_matrix(n, p),
+                          primitive_gossip_matrix(n, w))
     assert pentadiag.link_failure_params(n, p) == \
         pentadiag.weighted_gossip_params(n, w)
     if p < 1.0:
@@ -138,14 +138,14 @@ def test_pairing_is_a_permutation_realizing_the_match_distance():
 
 
 @pytest.mark.parametrize("solver, entry, m", [
-    ("eig", oracle.full_spectrum, primitive_gossip_matrix(5, 0.3).entries),
+    ("eig", oracle.full_spectrum, primitive_gossip_matrix(5, 0.3)),
     ("eigvals", oracle.spectral_gap_numeric,
-     primitive_gossip_matrix(5, 0.3).entries),
+     primitive_gossip_matrix(5, 0.3)),
     ("eigvalsh", oracle.spectral_gap_numeric, oracle.isospectral_matrix(5, 0.3)),
     # Even order: the solve runs on the reflection halves, and the message
     # names the matrix that was passed in.
     ("eigvals", oracle.spectral_gap_numeric,
-     primitive_gossip_matrix(6, 0.8).entries),
+     primitive_gossip_matrix(6, 0.8)),
     # A symmetric input to full_spectrum goes to the symmetric driver.
     ("eigh", oracle.full_spectrum, oracle.isospectral_matrix(5, 0.3)),
 ], ids=["eig-full_spectrum", "eigvals-spectral_gap_numeric",
