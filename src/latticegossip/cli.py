@@ -302,9 +302,8 @@ def _suite_spectra(n_max: int, seed: int) -> float:
                 nums = oracle.full_spectrum(stack).eigenvalues
                 anas = pentadiag.analytic_eigenvalues(
                     pentadiag.weighted_gossip_params(n, chunk))
-                for ana, num in zip(anas, nums):
-                    worst = max(worst,
-                                oracle.spectrum_match_distance(ana, num))
+                worst = max(worst,
+                            oracle.spectrum_match_distance(anas, nums))
     return worst
 
 

@@ -39,6 +39,16 @@ algebra (Cantoni and Butler, Linear Algebra Appl. 13, 1976) and uses
 nothing of the closed forms.
 
 isospectral_matrix(n, w) builds the matrix the CLI solves for W(w).
+
+Closed-form and numeric spectra are compared by a greedy pairing: the
+closest unmatched pair first.  spectrum_pairing pairs two 1-D spectra;
+spectrum_match_distance also takes two (k, n) stacks, pairs them row by
+row in one pass and returns the largest distance of any row.  Where every
+eigenvalue has a strictly nearest partner and no two share one, those
+partners are the greedy's answer without sorting anything (the greedy is
+the locally-dominant-edge matching, R. Preis, STACS 1999).  Rows with
+repeated eigenvalues run the greedy in array passes over the sorted
+distances.
 """
 from __future__ import annotations
 
@@ -292,35 +302,103 @@ def spectral_gap_numeric(a) -> float:
     return 1.0 - float(np.abs(rest).max())
 
 
+def _as_spectra(eigs_a, eigs_b, stacks: bool):
+    """eigs_a and eigs_b as complex (k, n) stacks of one shape: two 1-D
+    spectra of one length as one-row stacks, or, where stacks allows it,
+    two (k, n) stacks of one shape as they are."""
+    a = np.asarray(eigs_a, dtype=complex)
+    b = np.asarray(eigs_b, dtype=complex)
+    if a.ndim == b.ndim == 1 and a.size == b.size:
+        return a[None], b[None]
+    if stacks and a.ndim == b.ndim == 2 and a.shape == b.shape:
+        return a, b
+    what = ("two 1-D spectra of one length or two (k, n) stacks of one "
+            "shape" if stacks else "two 1-D spectra of one length")
+    raise ValueError(f"expected {what}, got shapes {a.shape} and {b.shape}")
+
+
+def _greedy_row(d: np.ndarray) -> np.ndarray:
+    """Partners of the greedy pairing for one (n, n) distance array, taking
+    the entries in the order np.argsort(d, axis=None) gives, so ties fall
+    as they sort.
+
+    Each pass looks at the next n sorted entries for the first whose row
+    and column are both free, accepts it and resumes after it, or moves a
+    whole window on: at most 2n passes of n entries each.  An n x n mask of
+    the pairs still open answers for a whole window in one lookup.
+    """
+    n = len(d)
+    order = np.argsort(d, axis=None)
+    partner = np.full(n, -1)
+    open_pairs = np.ones((n, n), dtype=bool)
+    is_open = open_pairs.reshape(-1)
+    pos = matched = 0
+    while matched < n:
+        window = order[pos:pos + n]
+        hits = is_open[window]
+        t = int(hits.argmax())
+        if not hits[t]:
+            pos += n
+            continue
+        i, j = divmod(int(window[t]), n)
+        partner[i] = j
+        open_pairs[i] = False
+        open_pairs[:, j] = False
+        matched += 1
+        pos += t + 1
+    return partner
+
+
+def _pair(a: np.ndarray, b: np.ndarray):
+    """Greedy partners of two complex (k, n) stacks, row by row, and each
+    row's largest pair distance: a (k, n) and a (k,) array.
+
+    Where every entry of a row of a has a strictly nearest entry in the
+    same row of b and no two share one, that nearest-partner permutation is
+    the greedy pairing, whatever order ties elsewhere sort in: the first
+    accepted pair (i, j) off it would need the strictly earlier (i, p(i))
+    to have been rejected, so p(i) taken, which only i's own pair could
+    have done.  Every other row (repeated or NaN eigenvalues) runs the
+    greedy itself, in _greedy_row.
+    """
+    d = np.abs(a[..., :, None] - b[..., None, :])
+    n = a.shape[-1]
+    if n == 0:
+        return np.zeros(a.shape, dtype=np.intp), np.zeros(len(a))
+    partner = d.argmin(axis=-1)
+    nearest = np.take_along_axis(d, partner[..., None], axis=-1)[..., 0]
+    strict = ((d == nearest[..., None]).sum(axis=-1) == 1).all(axis=-1)
+    distinct = (np.sort(partner, axis=-1) == np.arange(n)).all(axis=-1)
+    for r in np.flatnonzero(~(strict & distinct)):
+        partner[r] = _greedy_row(d[r])
+        nearest[r] = d[r, np.arange(n), partner[r]]
+    return partner, nearest.max(axis=-1)
+
+
 def spectrum_pairing(eigs_a, eigs_b) -> np.ndarray:
     """Greedy minimal-distance pairing of two equal-size eigenvalue multisets.
 
-    Repeatedly matches the globally closest unmatched pair; returns, for each
-    entry of eigs_a, the index of its partner in eigs_b.
+    Repeatedly matches the globally closest unmatched pair, ties taken in
+    the order np.argsort sorts the n x n distances in; returns, for each
+    entry of eigs_a, the index of its partner in eigs_b.  Takes two 1-D
+    spectra of one length.
+
+    Where each entry's nearest partner is strictly nearest and no two
+    entries share one, those partners are the greedy pairing and nothing
+    is sorted; otherwise the greedy runs in array passes over windows of
+    the sorted distances.
     """
-    a = np.asarray(eigs_a, dtype=complex).ravel()
-    b = np.asarray(eigs_b, dtype=complex).ravel()
-    if a.size != b.size:
-        raise ValueError(f"size mismatch: {a.size} vs {b.size}")
-    n = a.size
-    partner = np.full(n, -1)
-    taken = np.zeros(n, dtype=bool)
-    matched = 0
-    for flat in np.argsort(np.abs(a[:, None] - b[None, :]), axis=None):
-        i, j = divmod(int(flat), n)
-        if partner[i] >= 0 or taken[j]:
-            continue
-        partner[i] = j
-        taken[j] = True
-        matched += 1
-        if matched == n:
-            break
-    return partner
+    a, b = _as_spectra(eigs_a, eigs_b, stacks=False)
+    return _pair(a, b)[0][0]
 
 
 def spectrum_match_distance(eigs_a, eigs_b) -> float:
     """Largest distance in the greedy pairing of two eigenvalue multisets --
-    a Hausdorff-style gap between the multisets (see spectrum_pairing)."""
-    a = np.asarray(eigs_a, dtype=complex).ravel()
-    b = np.asarray(eigs_b, dtype=complex).ravel()
-    return float(np.abs(a - b[spectrum_pairing(a, b)]).max(initial=0.0))
+    a Hausdorff-style gap between the multisets (see spectrum_pairing).
+
+    Takes two 1-D spectra of one length, or two (k, n) stacks of one shape,
+    paired row by row: a stack gives the largest of its rows' distances,
+    from one pass over the whole stack.  Empty spectra give 0.0.
+    """
+    a, b = _as_spectra(eigs_a, eigs_b, stacks=True)
+    return float(_pair(a, b)[1].max(initial=0.0))

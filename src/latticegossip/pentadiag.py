@@ -31,6 +31,7 @@ stack.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -58,6 +59,13 @@ class PentaParams:
         if self.n < 3:
             raise ValueError(f"matrix order must be >= 3, got n={self.n}")
 
+    @cached_property
+    def _array_fields(self) -> bool:
+        """Whether any field but n is an array.  Cached: the charpolys test
+        it on every call."""
+        return any(np.ndim(f) for f in (self.alpha, self.beta, self.e,
+                                        self.b, self.c, self.d))
+
 
 def penta_matrix(params: PentaParams,
                  corners: tuple[str, str] = ("bd", "bd")) -> np.ndarray:
@@ -68,6 +76,7 @@ def penta_matrix(params: PentaParams,
     entry governs the top corner (2,1), the second the bottom corner
     ((n,n-1) for odd n, (n-1,n) for even n).
     """
+    _check_scalar_fields(params)
     top, bottom = corners
     if top not in ("bb", "bd") or bottom not in ("bb", "bd"):
         raise ValueError(f"corner codes must be 'bb' or 'bd', got {corners!r}")
@@ -135,9 +144,19 @@ def _v_values(y: complex, b: float, c: float, kmax: int) -> list[complex]:
     return vs
 
 
+def _check_scalar_fields(params: PentaParams) -> None:
+    """Reject array fields, which only analytic_eigenvalues takes."""
+    if params._array_fields:
+        raise ValueError("PentaParams with array fields are taken only by "
+                         "analytic_eigenvalues; pass one matrix's scalar "
+                         "parameters")
+
+
 def _check_alpha_beta(params: PentaParams) -> float:
-    """Reject a nonzero alpha or beta, which no charpoly formula covers, and
-    return the scale of the relative tolerance tests."""
+    """Reject array fields and a nonzero alpha or beta, which no charpoly
+    formula covers, and return the scale of the relative tolerance
+    tests."""
+    _check_scalar_fields(params)
     scale = max(1.0, abs(params.b), abs(params.c), abs(params.d))
     if abs(params.alpha) > _REL_TOL * scale or \
             abs(params.beta) > _REL_TOL * scale:

@@ -26,8 +26,9 @@ Proves:
      report path's matrices (oracle.isospectral_matrix), in stacks of at
      most SPECTRA_STACK_BYTES at 8 n^2 bytes a matrix; the solver splits
      each even-order stack into its halves and sends symmetric ones to the
-     symmetric driver; and the suite's eigenvalues lie within 1e-13 of the
-     general solve of W itself.
+     symmetric driver; the suite pairs each solved stack with its closed
+     form in one spectrum_match_distance call; and the suite's eigenvalues
+     lie within 1e-13 of the general solve of W itself.
 """
 import csv
 import io
@@ -362,6 +363,28 @@ def test_stacked_suite_returns_the_float_of_the_looped_suite(scope, looped,
                                                              n_max, seed):
     suite = cli.VERIFY_SUITES[scope][0]
     assert suite(n_max, seed) == looped(n_max, seed)
+
+
+@pytest.mark.parametrize("n_max", [3, 12, 60])
+def test_spectra_suite_pairs_each_solved_stack_in_one_call(monkeypatch,
+                                                           n_max):
+    calls = []
+    solve, match = oracle.full_spectrum, oracle.spectrum_match_distance
+
+    def solving(a):
+        calls.append("solve")
+        return solve(a)
+
+    def matching(ana, num):
+        calls.append("match")
+        assert np.shape(ana) == np.shape(num) and np.ndim(ana) == 2
+        return match(ana, num)
+
+    monkeypatch.setattr(oracle, "full_spectrum", solving)
+    monkeypatch.setattr(oracle, "spectrum_match_distance", matching)
+    cli._suite_spectra(n_max, 0)
+    assert calls == ["solve", "match"] * (len(calls) // 2)
+    assert len(calls) >= 2 * 2 * (n_max - 2)
 
 
 def record_suite_solves(monkeypatch):

@@ -13,7 +13,9 @@ Proves:
   4. spectral_gap_numeric computes 1 - |lambda_2| for doubly stochastic
      input and rejects anything else, an empty matrix with a clear error.
   5. spectrum_match_distance pairs two spectra greedily and reports the
-     worst gap.
+     worst gap; it pairs a (k, n) stack row by row, and it and
+     spectrum_pairing reject inputs of any other shape rather than read
+     them as one flat multiset.  Empty spectra give 0.0 and no partners.
   6. eigenvalues (the eigenvalues-only solve) returns the bits of
      full_spectrum's eigenvalues for every n up to 60 on verify's weights,
      and agrees within 1e-12 above that.
@@ -64,7 +66,7 @@ from latticegossip.oracle import (MAX_SPECTRUM_ORDER, determinant_shifted,
                                   eigenvalues, enumerate_failure_expectation,
                                   full_spectrum, isospectral_matrix,
                                   reflection_halves, spectral_gap_numeric,
-                                  spectrum_match_distance)
+                                  spectrum_match_distance, spectrum_pairing)
 from latticegossip.pentadiag import (PentaParams, charpoly_bb, charpoly_bb_bd,
                                      charpoly_bd_bd, penta_matrix,
                                      weighted_gossip_params)
@@ -240,6 +242,44 @@ def test_match_distance_is_permutation_invariant():
 def test_match_distance_rejects_size_mismatch():
     with pytest.raises(ValueError):
         spectrum_match_distance([1.0, 2.0], [1.0])
+
+
+def test_match_distance_pairs_a_stack_row_by_row():
+    # As one multiset of four values the two stacks are equal.  Row by row
+    # the greedy pairs 1 with 5, then 0 with 6.
+    assert spectrum_match_distance([[0, 1], [5, 6]], [[5, 6], [0, 1]]) == 6.0
+    assert spectrum_match_distance([[0, 1], [5, 6]], [[1, 0], [6, 5.5]]) == 0.5
+
+
+@pytest.mark.parametrize("a, b", [
+    (np.zeros((2, 3)), np.zeros((3, 2))),
+    (np.zeros((2, 3)), np.zeros(6)),
+    (np.zeros((1, 3)), np.zeros(3)),
+    (np.zeros((1, 2, 2)), np.zeros((1, 2, 2))),
+    (1.0, 1.0),
+], ids=["transposed", "stack-vs-flat", "one-row-vs-flat", "3-d", "scalars"])
+def test_match_distance_rejects_anything_but_spectra_or_stacks(a, b):
+    with pytest.raises(ValueError, match="expected two 1-D spectra"):
+        spectrum_match_distance(a, b)
+
+
+@pytest.mark.parametrize("a, b", [
+    (np.zeros((2, 3)), np.zeros((2, 3))),
+    (np.zeros(3), np.zeros(2)),
+    (np.zeros((1, 3)), np.zeros(3)),
+    (1.0, 1.0),
+], ids=["stacks", "lengths", "one-row-vs-flat", "scalars"])
+def test_pairing_rejects_anything_but_two_spectra(a, b):
+    with pytest.raises(ValueError, match="expected two 1-D spectra"):
+        spectrum_pairing(a, b)
+
+
+def test_empty_spectra_pair_to_nothing():
+    assert spectrum_match_distance([], []) == 0.0
+    assert spectrum_match_distance(np.zeros((0, 4)), np.zeros((0, 4))) == 0.0
+    assert spectrum_match_distance(np.zeros((3, 0)), np.zeros((3, 0))) == 0.0
+    partner = spectrum_pairing([], [])
+    assert partner.shape == (0,) and partner.dtype.kind == "i"
 
 
 # --- eigenvalues-only solve --------------------------------------------------------

@@ -14,7 +14,9 @@ Proves:
   4. The all-corner form with odd order genuinely requires d - b = c: the
      guarded function raises, and the raw formula provably disagrees with
      the determinant when the constraint is broken.  Every charpoly rejects
-     nonzero corner shifts alpha, beta, which none of them models.
+     nonzero corner shifts alpha, beta, which none of them models, and
+     like penta_matrix rejects the array fields only analytic_eigenvalues
+     takes.
   5. analytic_eigenvalues reproduces hand-solved small spectra, keeps the
      consensus eigenvalue 1 at every size, satisfies the trace identity,
      and enforces its preconditions.
@@ -254,6 +256,19 @@ def test_charpoly_rejects_corner_shifts(n):
     for func in (charpoly_bb, charpoly_bb_bd, charpoly_bd_bd):
         with pytest.raises(ValueError, match="alpha = beta = 0"):
             func(params, 0.37 + 0.1j)
+
+
+@pytest.mark.parametrize("call", [
+    lambda params: penta_matrix(params),
+    lambda params: charpoly_bb(params, 0.37 + 0.1j),
+    lambda params: charpoly_bb_bd(params, 0.37 + 0.1j),
+    lambda params: charpoly_bd_bd(params, 0.37 + 0.1j),
+], ids=["penta_matrix", "charpoly_bb", "charpoly_bb_bd", "charpoly_bd_bd"])
+def test_array_fields_are_rejected_outside_analytic_eigenvalues(call):
+    # One weight per entry is a stack of matrices, which only the
+    # closed-form eigenvalues solve in one pass.
+    with pytest.raises(ValueError, match="only by analytic_eigenvalues"):
+        call(weighted_gossip_params(5, [0.3, 0.5]))
 
 
 def test_bd_bd_odd_formula_truly_needs_the_constraint():

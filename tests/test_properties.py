@@ -20,6 +20,13 @@ grid, with the tolerance of the matching fixed-grid test:
      1/(1 + sin(pi/n)) a few ulps either side, where the discriminant is
      near 0; each entry squares w - 1 with the scalar call's pow.  A stack
      with an invalid entry is rejected, as that entry's scalar call is.
+  7. spectrum_pairing gives the partners, and spectrum_match_distance the
+     float (==), of the greedy loop it replaced, kept below as the
+     reference, for n in 0..64: spectra with exact duplicates, conjugate
+     pairs, each entry halfway between two others, all entries equal, a
+     permutation plus noise of 1e-16 to 1e-3, and half of one side
+     collapsed onto one value.  A (k, n) stack's distance is the largest
+     of its rows' distances.
 
 Examples are derandomized, so every run draws the same cases.
 """
@@ -34,7 +41,8 @@ from latticegossip import cli
 from latticegossip.cli import _report_row
 from latticegossip.matrices import expected_failure_matrix, primitive_gossip_matrix
 from latticegossip.oracle import (enumerate_failure_expectation,
-                                  isospectral_matrix, spectral_gap_numeric)
+                                  isospectral_matrix, spectral_gap_numeric,
+                                  spectrum_match_distance, spectrum_pairing)
 from latticegossip.pentadiag import (PentaParams, analytic_eigenvalues,
                                      link_failure_params, penta_matrix,
                                      weighted_gossip_params)
@@ -211,3 +219,86 @@ def test_stack_with_an_invalid_entry_is_rejected(data, n, field, offset):
     with pytest.raises(ValueError, match="closed-form eigenvalues require"):
         analytic_eigenvalues(PentaParams(
             n=n, **{f: float(v[bad]) for f, v in values.items()}))
+
+
+# --- eigenvalue pairing --------------------------------------------------------
+
+
+def looped_pairing(eigs_a, eigs_b):
+    """The greedy loop spectrum_pairing replaced, verbatim: one Python step
+    per sorted distance."""
+    a = np.asarray(eigs_a, dtype=complex).ravel()
+    b = np.asarray(eigs_b, dtype=complex).ravel()
+    if a.size != b.size:
+        raise ValueError(f"size mismatch: {a.size} vs {b.size}")
+    n = a.size
+    partner = np.full(n, -1)
+    taken = np.zeros(n, dtype=bool)
+    matched = 0
+    for flat in np.argsort(np.abs(a[:, None] - b[None, :]), axis=None):
+        i, j = divmod(int(flat), n)
+        if partner[i] >= 0 or taken[j]:
+            continue
+        partner[i] = j
+        taken[j] = True
+        matched += 1
+        if matched == n:
+            break
+    return partner
+
+
+def looped_match_distance(eigs_a, eigs_b):
+    a = np.asarray(eigs_a, dtype=complex).ravel()
+    b = np.asarray(eigs_b, dtype=complex).ravel()
+    return float(np.abs(a - b[looped_pairing(a, b)]).max(initial=0.0))
+
+
+def spectra_pair(kind, n, seed):
+    """Two spectra of n entries of the given kind, from a seeded generator:
+    the kinds reach both the strict-nearest shortcut and the greedy."""
+    rng = np.random.default_rng(seed)
+    if kind == "duplicates":
+        a = rng.integers(0, 4, n) * 0.25 + 0j
+        return a, rng.permutation(a)
+    if kind == "conjugates":
+        z = rng.uniform(-1, 1, n // 2) + 1j * rng.uniform(-1, 1, n // 2)
+        a = np.concatenate([z, z.conj(), np.ones(n % 2)])
+        return a, rng.permutation(a)
+    if kind == "interleaved":
+        # Each entry of a halfway between two of b, the lower one first in
+        # b: the nearest partners form a permutation, but not strictly.
+        return rng.permutation(2.0 * np.arange(n) + 1.0), 2.0 * np.arange(n)
+    if kind == "all-equal":
+        return np.full(n, 0.5), np.full(n, 0.5) + rng.choice([0.0, 1e-16], n)
+    if kind == "noise":
+        a = rng.uniform(-1, 1, n) + 1j * rng.choice([0.0, 1.0], n) * \
+            rng.uniform(-1, 1, n)
+        return a, rng.permutation(a) + 10.0 ** rng.uniform(-16, -3, n)
+    # "collapsed"
+    a = rng.uniform(-1, 1, n)
+    b = rng.permutation(a)
+    b[rng.permutation(n)[:n // 2]] = a[0] if n else 0.0
+    return a, b
+
+
+SPECTRA_KINDS = st.sampled_from(["duplicates", "conjugates", "interleaved",
+                                 "all-equal", "noise", "collapsed"])
+
+
+@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@given(kind=SPECTRA_KINDS, n=st.integers(0, 64), seed=st.integers(0, 2**32))
+def test_pairing_is_the_looped_greedy(kind, n, seed):
+    a, b = spectra_pair(kind, n, seed)
+    assert np.array_equal(spectrum_pairing(a, b), looped_pairing(a, b))
+    assert spectrum_match_distance(a, b) == looped_match_distance(a, b)
+
+
+@PROPERTY
+@given(kinds=st.lists(SPECTRA_KINDS, max_size=5), n=st.integers(0, 24),
+       seed=st.integers(0, 2**32))
+def test_stack_distance_is_the_largest_row_distance(kinds, n, seed):
+    pairs = [spectra_pair(kind, n, seed + r) for r, kind in enumerate(kinds)]
+    a = np.array([a for a, _ in pairs], dtype=complex).reshape(len(pairs), n)
+    b = np.array([b for _, b in pairs], dtype=complex).reshape(len(pairs), n)
+    assert spectrum_match_distance(a, b) == max(
+        (spectrum_match_distance(x, y) for x, y in zip(a, b)), default=0.0)
