@@ -4,13 +4,14 @@ A period of the schedule activates two maximal matchings of the path: first
 every edge (2,3), (4,5), ... then every edge (1,2), (3,4), ....  The product
 of one period's pairwise averaging matrices is the primitive gossip matrix
 whose powers drive the consensus dynamics.  Every builder returns the dense
-(n, n) array itself.
+(n, n) array itself, or for a 1-D array of k weights the (k, n, n) stack.
 
 One kernel, apply_period, applies a period to the rows of an array: the
-builders apply it to the identity and the simulator to the state.  The
-expected one-period matrix under independent Bernoulli link failures with
-probability p is not a family of its own: each edge's expected factor
-p*I + (1-p)*P_{1/2} is the weighted pair update at w = (1-p)/2.
+builders apply it to five seed columns per matrix, O(n) work, and the
+simulator to the state.  The expected one-period matrix under independent
+Bernoulli link failures with probability p is not a family of its own: each
+edge's expected factor p*I + (1-p)*P_{1/2} is the weighted pair update at
+w = (1-p)/2.
 """
 from __future__ import annotations
 
@@ -79,13 +80,17 @@ def apply_period(x: np.ndarray, w) -> np.ndarray:
     The e1 round (0-based edges i = 1, 3, ...) runs first, then the e2 round
     (i = 0, 2, ...); edge i updates rows i and i+1 to
     (1-w) x[i] + w x[i+1] and (1-w) x[i+1] + w x[i].  w is one weight for
-    every edge or an array of n-1 per-edge weights; a weight of 0 leaves its
-    pair unchanged.  Applied to np.eye(n) this builds the period matrix.
+    every edge or an array of per-edge weights: its first axis runs over
+    the n-1 edges and its other axes broadcast against x.shape[1:], so
+    (n-1,) gives each edge one weight and (n-1, k, 1) on an (n, k, c) x
+    gives each block of c columns its own.  A weight of 0 leaves its pair
+    unchanged.  Each column goes through the same floating-point operations
+    as it would alone.
     """
     n = x.shape[0]
     per_edge = isinstance(w, np.ndarray)
     if per_edge:
-        w = w.reshape((n - 1, 1) + (1,) * (x.ndim - 1))
+        w = w.reshape((n - 1, 1) + (1,) * (x.ndim - w.ndim) + w.shape[1:])
     v = 1.0 - w
     for q in (1, 0):
         # Rows q, q+1, ... as m pairs; splitting the first axis is a view.
@@ -98,30 +103,65 @@ def apply_period(x: np.ndarray, w) -> np.ndarray:
     return x
 
 
-def primitive_gossip_matrix(n: int, w: float) -> np.ndarray:
+def _unit_values(x, what: str) -> np.ndarray:
+    """x as a float scalar or 1-D array whose every entry lies in [0, 1]
+    (NaN does not)."""
+    xs = np.asarray(x, dtype=float)
+    if xs.ndim > 1:
+        raise ValueError(f"{what} must be a scalar or a 1-D array, got "
+                         f"shape {xs.shape}")
+    bad = ~((xs >= 0.0) & (xs <= 1.0))
+    if bad.any():
+        raise ValueError(f"{what} must lie in [0, 1], got "
+                         f"{xs.flat[bad.argmax()]}")
+    return xs
+
+
+def primitive_gossip_matrix(n: int, w) -> np.ndarray:
     """One full period of weighted gossip: the e2 round applied after e1.
 
     Returns W = S2 @ S1 where S1/S2 multiply out the e1/e2 matchings, i.e.
     state evolves x -> S1 x -> S2 S1 x across one period.  The result is a
-    doubly stochastic pentadiagonal matrix.
+    doubly stochastic pentadiagonal matrix.  A 1-D array of k weights gives
+    the (k, n, n) stack of their matrices; every weight is checked before
+    anything is built.
+
+    Column j of W is the period applied to e_j and lies in rows j-2..j+2,
+    so columns j and j+5 never meet in one pair update: one period applied
+    to five seed columns, seed j % 5 holding every e_j, gives each column
+    of W with the operations of its own e_j in O(n) (the column grouping
+    of Curtis, Powell and Reid, J. Inst. Math. Appl. 13, 1974).
     """
     if n < 3:
         raise ValueError(f"primitive gossip matrix needs n >= 3, got n={n}")
-    if not 0.0 <= w <= 1.0:
-        raise ValueError(f"gossip weight must lie in [0, 1], got {w}")
-    return apply_period(np.eye(n), w)
+    ws = _unit_values(w, "gossip weight")
+    k = ws.size
+    j = np.arange(n)
+    seed_of = j % 5
+    seeds = np.zeros((n, k, 5))
+    seeds[j, :, seed_of] = 1.0
+    apply_period(seeds, np.broadcast_to(ws.reshape(1, k, 1), (n - 1, k, 1)))
+    out = np.zeros((k, n, n))
+    flat = out.reshape(k, n * n)
+    for offset in range(-2, 3):
+        # Entries (c + offset, c) lie on one flat slice of step n + 1.
+        cols = slice(max(0, -offset), n - max(0, offset))
+        rows = j[cols] + offset
+        flat[:, rows[0] * n + cols.start:rows[-1] * n + cols.stop:n + 1] = \
+            seeds[rows, :, seed_of[cols]].T
+    return out if ws.ndim else out[0]
 
 
-def expected_failure_matrix(n: int, p: float) -> np.ndarray:
+def expected_failure_matrix(n: int, p) -> np.ndarray:
     """Expected one-period matrix when each link independently fails.
 
     Each pairwise average is replaced by identity with probability p, so the
     expected per-edge factor is p*I + (1-p)*P_{1/2}, which is the pair
     update at w = (1-p)/2.  Independence across edges makes the expectation
-    of the period product the product of the per-edge expectations.
+    of the period product the product of the per-edge expectations.  A 1-D
+    array of probabilities gives the stack of their matrices.
     """
     if n < 3:
         raise ValueError(f"expected failure matrix needs n >= 3, got n={n}")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"failure probability must lie in [0, 1], got {p}")
-    return apply_period(np.eye(n), (1.0 - p) / 2.0)
+    ps = _unit_values(p, "failure probability")
+    return primitive_gossip_matrix(n, (1.0 - ps) / 2.0)

@@ -38,7 +38,8 @@ otherwise solved whole, as is any other input.  The split is plain linear
 algebra (Cantoni and Butler, Linear Algebra Appl. 13, 1976) and uses
 nothing of the closed forms.
 
-isospectral_matrix(n, w) builds the matrix the CLI solves for W(w).
+isospectral_matrix(n, w) builds the matrix the CLI solves for W(w), or
+for an array of weights on one side of 1/2 the stack of them.
 
 Closed-form and numeric spectra are compared by a greedy pairing: the
 closest unmatched pair first.  spectrum_pairing pairs two 1-D spectra;
@@ -52,7 +53,6 @@ distances.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -206,15 +206,8 @@ def enumerate_failure_expectation(n: int, p):
         raise ValueError(f"exhaustive enumeration supports n <= 12, got n={n}")
     if n < 3:
         raise ValueError(f"need n >= 3, got n={n}")
-    ps = np.asarray(p, dtype=float)
-    if ps.ndim > 1:
-        raise ValueError(f"failure probabilities must be a scalar or a 1-D "
-                         f"array, got shape {ps.shape}")
+    ps = matrices._unit_values(p, "failure probability")
     qs = np.atleast_1d(ps).tolist()
-    for q in qs:
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(
-                f"failure probability must lie in [0, 1], got {q}")
     # Mask bit e set means path edge (e+1, e+2) failed.  Every pattern's
     # period product at once: each pair update, in schedule order,
     # multiplies the patterns whose edge is up.  The pair matrix is an
@@ -265,7 +258,7 @@ def reflection_halves(a) -> np.ndarray:
     return np.stack([top + bj, top - bj], axis=-3).reshape(-1, h, h)
 
 
-def isospectral_matrix(n: int, w: float) -> np.ndarray:
+def isospectral_matrix(n: int, w) -> np.ndarray:
     """A matrix with the eigenvalues of the period matrix W(w) = S2 S1.
 
     For w <= 1/2, each round S_k(h) at h = w / (1 + sqrt(1 - 2w)), the root
@@ -277,13 +270,31 @@ def isospectral_matrix(n: int, w: float) -> np.ndarray:
     exact arithmetic: the average stays bit-symmetric and is bit-equal to
     its rotation, so the solvers split it.  Above 1/2, S1(w) is indefinite
     and W(w) itself is returned.
+
+    w may also be a 1-D array of weights that all lie on one side of 1/2,
+    giving the (k, n, n) stack of their matrices with the bits of k
+    one-weight calls: one stacked build and, below 1/2, one stacked matmul
+    for the products.  Every weight is checked before anything is built.
     """
-    if w > 0.5:
-        return matrices.primitive_gossip_matrix(n, w)
-    h = w / (1.0 + math.sqrt(1.0 - 2.0 * w))
+    ws = matrices._unit_values(w, "gossip weight")
+    above = ws > 0.5
+    if above.any() and not above.all():
+        raise ValueError("gossip weights of one call must all lie on one "
+                         "side of 1/2")
+    if above.any():
+        return matrices.primitive_gossip_matrix(n, ws)
+    h = ws / (1.0 + np.sqrt(1.0 - 2.0 * ws))
     c = matrices.primitive_gossip_matrix(n, h)
-    g = c.T @ c
-    return g if n % 2 else (g + g[::-1, ::-1]) / 2
+    g = c.swapaxes(-1, -2) @ c
+    # At most two arrays of the result's size are live at once: W(h) is
+    # freed before the average is formed, and the average is halved in
+    # place.
+    del c
+    if n % 2:
+        return g
+    g_avg = g + g[..., ::-1, ::-1]
+    g_avg /= 2
+    return g_avg
 
 
 def spectral_gap_numeric(a) -> float:
@@ -361,7 +372,14 @@ def _pair(a: np.ndarray, b: np.ndarray):
     have done.  Every other row (repeated or NaN eigenvalues) runs the
     greedy itself, in _greedy_row.
     """
-    d = np.abs(a[..., :, None] - b[..., None, :])
+    if a.imag.any() or b.imag.any():
+        d = np.abs(a[..., :, None] - b[..., None, :])
+    else:
+        # hypot(x, 0) = |x|: the real parts give every distance's bits,
+        # in one float array where the complex path needs a complex one
+        # and a float one.
+        d = a.real[..., :, None] - b.real[..., None, :]
+        np.abs(d, out=d)
     n = a.shape[-1]
     if n == 0:
         return np.zeros(a.shape, dtype=np.intp), np.zeros(len(a))

@@ -28,7 +28,9 @@ Proves:
      each even-order stack into its halves and sends symmetric ones to the
      symmetric driver; the suite pairs each solved stack with its closed
      form in one spectrum_match_distance call; and the suite's eigenvalues
-     lie within 1e-13 of the general solve of W itself.
+     lie within 1e-13 of the general solve of W itself.  The spectra suite
+     builds each stack, and the failure-matrix suite each order's 11
+     matrices, with one builder call.
 """
 import csv
 import io
@@ -387,15 +389,47 @@ def test_spectra_suite_pairs_each_solved_stack_in_one_call(monkeypatch,
     assert len(calls) >= 2 * 2 * (n_max - 2)
 
 
+@pytest.mark.parametrize("n_max", [3, 12, 60])
+def test_verify_suites_build_each_stack_with_one_call(monkeypatch, n_max):
+    calls = []
+    build, solve = oracle.isospectral_matrix, oracle.full_spectrum
+    failure_build = matrices.expected_failure_matrix
+
+    def building(n, w):
+        calls.append(("build", np.shape(w)))
+        return build(n, w)
+
+    def solving(a):
+        calls.append(("solve", (len(a),)))
+        return solve(a)
+
+    def failure_building(n, p):
+        calls.append(("failure", np.shape(p)))
+        return failure_build(n, p)
+
+    monkeypatch.setattr(oracle, "isospectral_matrix", building)
+    monkeypatch.setattr(oracle, "full_spectrum", solving)
+    monkeypatch.setattr(matrices, "expected_failure_matrix", failure_building)
+    cli._suite_spectra(n_max, 0)
+    # One build of a 1-D weight array before each stacked solve, of its size.
+    assert len(calls) >= 2 * 2 * (n_max - 2)
+    for (b, shape), (s, size) in zip(calls[::2], calls[1::2]):
+        assert (b, s) == ("build", "solve") and shape == size
+    calls.clear()
+    cli._suite_failure_matrix(n_max, 0)
+    assert calls == [("failure", (11,))] * (min(n_max, 10) - 2)
+
+
 def record_suite_solves(monkeypatch):
     """Patch the suite's matrix builder, full_spectrum and both eigenpair
     drivers to log, per stacked solve, (n, weights, stack shape, driver
-    calls as (name, shape), eigenvalues)."""
+    calls as (name, shape), eigenvalues).  The builder logs each weight of
+    a stacked build."""
     solves, pending, drivers = [], [], []
     build, solve = oracle.isospectral_matrix, oracle.full_spectrum
 
     def building(n, w):
-        pending.append((n, w))
+        pending.extend((n, x) for x in np.atleast_1d(w).tolist())
         return build(n, w)
 
     def recorded(name):

@@ -40,6 +40,10 @@ Proves:
      odd or even order, halves or a stack) to np.linalg.eigh once, split
      where it splits, with real eigenvalues and a residual of at most
      1e-14.
+     A 1-D array of weights on one side of 1/2 gives the bytes of its
+     per-weight calls, and below 1/2 the bytes of the Gram product of the
+     period applied to the whole identity; its Gram stack is bit-symmetric
+     and, at even n, bit-equal to its rotation.
  10. The reflection split, inside both solvers: at even n the period
      matrix is bit-equal to its 180-degree rotation, and the eigenvalues
      of its two half-order blocks together lie within 1e-13 of the whole
@@ -514,6 +518,31 @@ def test_oracle_matrix_has_the_spectrum_of_w_at_large_n(n, w):
     assert spectrum_match_distance(
         eigenvalues(isospectral_matrix(n, w)),
         np.linalg.eigvals(primitive_gossip_matrix(n, w))) <= 1e-13
+
+
+def identity_gram(n, w):
+    """isospectral_matrix below 1/2 as first written: W(h) from the period
+    applied to the whole identity, one weight per call."""
+    c = matrices.apply_period(np.eye(n), w / (1.0 + math.sqrt(1.0 - 2.0 * w)))
+    g = c.T @ c
+    return g if n % 2 else (g + g[::-1, ::-1]) / 2
+
+
+@pytest.mark.parametrize("n", list(range(3, 41)) + [64, 127, 128, 255, 256])
+def test_oracle_stacks_are_the_bytes_of_per_weight_calls(n):
+    for group in ([0.0, 1e-300] + LOW_WEIGHTS,
+                  [w for w in VERIFY_WEIGHTS if w > 0.5] + [1.0]):
+        stack = isospectral_matrix(n, np.array(group))
+        assert stack.shape == (len(group), n, n)
+        for w, m in zip(group, stack):
+            one = isospectral_matrix(n, w)
+            assert m.tobytes() == one.tobytes(), (n, w)
+            if w <= 0.5:
+                assert one.tobytes() == identity_gram(n, w).tobytes(), (n, w)
+        if max(group) <= 0.5:
+            assert np.array_equal(stack, stack.swapaxes(-1, -2))
+            if n % 2 == 0:
+                assert np.array_equal(stack, stack[..., ::-1, ::-1])
 
 
 def test_oracle_matrix_above_half_is_the_period_matrix():

@@ -13,7 +13,15 @@ Proves:
   5. The eigensolver-failure fingerprint is a stable sha256 digest, on
      both eigenpair solves and both eigenvalues-only solves; a split solve
      names the matrix that was passed in, not its halves.
-  6. spectrum rejects orders outside [3, MAX_SPECTRUM_ORDER] before it
+  6. The builders are the bytes of the period applied to the whole
+     identity, the build they replaced, at every n = 3..600, 1000 and
+     2000 for 0, 1/2, 1, the weight whose libm square is half an ulp off
+     and the optimal weight 4 ulps either side; a stack of weights (or of
+     failure probabilities) is the bytes of its per-entry calls; per-column
+     kernel weights give the bytes of column-by-column calls; and a NaN,
+     out-of-range or misshapen weight, anywhere in a stack, is rejected
+     before anything is built.
+  7. spectrum rejects orders outside [3, MAX_SPECTRUM_ORDER] before it
      builds anything, and grid arguments are capped, rounding slack
      included, before they expand.  The slack past a grid's upper bound is
      at most half a step, and every grid the package, its tests and its
@@ -22,6 +30,7 @@ Proves:
 import argparse
 import ast
 import hashlib
+import math
 import pathlib
 import re
 
@@ -89,6 +98,69 @@ def test_strided_inputs_give_the_contiguous_result():
     expected = apply_period(strided.copy(), 0.35)
     apply_period(strided, 0.35)
     assert np.array_equal(x[::2], expected)
+
+
+# --- compressed builds against the identity build -------------------------------
+
+
+def identity_build(n, w):
+    """The period applied to the whole n x n identity: the O(n^2) build
+    the builders replaced, kept as their reference."""
+    return apply_period(np.eye(n), w)
+
+
+def ulps_away(x, k):
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+def builder_weights(n):
+    """0, 1/2, 1, the weight whose libm square is half an ulp off, and the
+    optimal weight 1/(1 + sin(pi/n)) 4 ulps either side."""
+    w_star = 1.0 / (1.0 + math.sin(math.pi / n))
+    return [0.0, 0.5, 1.0, 0.958203739894623, ulps_away(w_star, -4),
+            ulps_away(w_star, 4)]
+
+
+@pytest.mark.parametrize("ns", [range(lo, min(lo + 100, 601))
+                                for lo in range(3, 601, 100)]
+                         + [[1000, 2000]], ids=lambda ns: f"{ns[0]}-{ns[-1]}")
+def test_builders_are_the_bytes_of_the_identity_build(ns):
+    for n in ns:
+        weights = builder_weights(n)
+        stack = primitive_gossip_matrix(n, np.array(weights))
+        assert stack.shape == (len(weights), n, n)
+        for w, built in zip(weights, stack):
+            reference = identity_build(n, w).tobytes()
+            assert primitive_gossip_matrix(n, w).tobytes() == reference, (n, w)
+            assert built.tobytes() == reference, (n, w)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 11, 40])
+def test_failure_stack_is_the_bytes_of_per_p_calls(n):
+    ps = cli._parse_grid("0:1:0.1") + [1e-300]
+    stack = expected_failure_matrix(n, np.array(ps))
+    for p, built in zip(ps, stack):
+        reference = identity_build(n, (1.0 - p) / 2.0).tobytes()
+        assert expected_failure_matrix(n, p).tobytes() == reference, p
+        assert built.tobytes() == reference, p
+
+
+@pytest.mark.parametrize("n", [3, 4, 9, 16])
+@pytest.mark.parametrize("shape", [(3, 1), (1, 4), (3, 4), (4,), ()])
+def test_per_column_weights_are_column_by_column_calls(n, shape):
+    rng = np.random.default_rng(n)
+    x = rng.random((n, 3, 4))
+    weights = rng.uniform(0.0, 1.0, (n - 1,) + shape)
+    weights[::3] = 0.0
+    out = apply_period(x.copy(), weights)
+    per_column = np.broadcast_to(weights.reshape(
+        (n - 1,) + (1,) * (2 - len(shape)) + shape), (n - 1, 3, 4))
+    for k in range(3):
+        for c in range(4):
+            alone = apply_period(x[:, k, c].copy(), per_column[:, k, c].copy())
+            assert out[:, k, c].tobytes() == alone.tobytes(), (k, c)
 
 
 # --- link failure is weighted gossip at (1-p)/2 ---------------------------------
@@ -181,6 +253,32 @@ def test_spectrum_rejects_order_before_building(monkeypatch, argv):
     with pytest.raises(SystemExit) as info:
         cli.main(argv)
     assert str(info.value).startswith("error:")
+
+
+@pytest.mark.parametrize("build, value", [
+    (primitive_gossip_matrix, math.nan),
+    (primitive_gossip_matrix, 1.5),
+    (primitive_gossip_matrix, [0.2, math.nan]),
+    (primitive_gossip_matrix, [0.5, 1.0, -1e-300]),
+    (primitive_gossip_matrix, [[0.3]]),
+    (expected_failure_matrix, [0.3, 1.1]),
+    (expected_failure_matrix, math.nan),
+    (oracle.isospectral_matrix, [0.3, math.nan]),
+    (oracle.isospectral_matrix, [0.7, 1.2]),
+    (oracle.isospectral_matrix, -0.2),
+    (oracle.isospectral_matrix, [0.3, 0.7]),
+    (oracle.isospectral_matrix, [0.9, 0.5]),
+])
+def test_bad_weight_is_rejected_before_any_build(monkeypatch, build, value):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("built before every weight was checked")
+
+    monkeypatch.setattr(matrices, "apply_period", must_not_run)
+    if build is oracle.isospectral_matrix:
+        monkeypatch.setattr(matrices, "primitive_gossip_matrix", must_not_run)
+    with pytest.raises(ValueError, match="must lie in|must be a scalar|"
+                                         "one side of 1/2"):
+        build(8, value)
 
 
 @pytest.mark.parametrize("text", ["0:1:1e-12", "0:1e300:1e-300", "-1e308:1e308:1"])

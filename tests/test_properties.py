@@ -25,8 +25,12 @@ grid, with the tolerance of the matching fixed-grid test:
      reference, for n in 0..64: spectra with exact duplicates, conjugate
      pairs, each entry halfway between two others, all entries equal, a
      permutation plus noise of 1e-16 to 1e-3, and half of one side
-     collapsed onto one value.  A (k, n) stack's distance is the largest
-     of its rows' distances.
+     collapsed onto one value.  The same holds for the real parts of
+     those spectra, as float arrays or as complex arrays with +0 and -0
+     imaginary parts.  A (k, n) stack's distance is the largest of its
+     rows' distances.
+  8. A stack of weights drawn from [0, 1] builds, matrix for matrix, the
+     bytes of the period applied to the whole identity.
 
 Examples are derandomized, so every run draws the same cases.
 """
@@ -39,7 +43,8 @@ from hypothesis import strategies as st
 
 from latticegossip import cli
 from latticegossip.cli import _report_row
-from latticegossip.matrices import expected_failure_matrix, primitive_gossip_matrix
+from latticegossip.matrices import (apply_period, expected_failure_matrix,
+                                    primitive_gossip_matrix)
 from latticegossip.oracle import (enumerate_failure_expectation,
                                   isospectral_matrix, spectral_gap_numeric,
                                   spectrum_match_distance, spectrum_pairing)
@@ -294,6 +299,19 @@ def test_pairing_is_the_looped_greedy(kind, n, seed):
 
 
 @PROPERTY
+@given(kind=SPECTRA_KINDS, n=st.integers(0, 64), seed=st.integers(0, 2**32),
+       as_complex=st.booleans())
+def test_real_pairing_is_the_looped_greedy(kind, n, seed, as_complex):
+    # The real parts alone, as floats or as complex with +0 and -0
+    # imaginary parts: the distances come from the real parts.
+    a, b = (x.real for x in spectra_pair(kind, n, seed))
+    if as_complex:
+        a, b = a + 0j, np.conj(b + 0j)
+    assert np.array_equal(spectrum_pairing(a, b), looped_pairing(a, b))
+    assert spectrum_match_distance(a, b) == looped_match_distance(a, b)
+
+
+@PROPERTY
 @given(kinds=st.lists(SPECTRA_KINDS, max_size=5), n=st.integers(0, 24),
        seed=st.integers(0, 2**32))
 def test_stack_distance_is_the_largest_row_distance(kinds, n, seed):
@@ -302,3 +320,15 @@ def test_stack_distance_is_the_largest_row_distance(kinds, n, seed):
     b = np.array([b for _, b in pairs], dtype=complex).reshape(len(pairs), n)
     assert spectrum_match_distance(a, b) == max(
         (spectrum_match_distance(x, y) for x, y in zip(a, b)), default=0.0)
+
+
+# --- builds from seed columns -----------------------------------------------------
+
+
+@PROPERTY
+@given(n=st.integers(3, 80),
+       weights=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6))
+def test_weight_stack_is_the_bytes_of_the_identity_build(n, weights):
+    stack = primitive_gossip_matrix(n, np.array(weights))
+    for w, built in zip(weights, stack):
+        assert built.tobytes() == apply_period(np.eye(n), w).tobytes()
