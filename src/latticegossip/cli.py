@@ -266,13 +266,13 @@ def cmd_spectrum(args) -> int:
     analytic = analytic[order]
     numeric = numeric[oracle.spectrum_pairing(analytic, numeric)]
     dist = np.abs(analytic - numeric)
+    # Whole columns as Python floats, not one numpy scalar per entry.
+    columns = zip(analytic.real.tolist(), analytic.imag.tolist(),
+                  numeric.real.tolist(), numeric.imag.tolist(), dist.tolist())
     rows = [{"n": n, "parameter_kind": kind, "parameter": value,
-             "index": i + 1,
-             "analytic_re": float(analytic[i].real),
-             "analytic_im": float(analytic[i].imag),
-             "numeric_re": float(numeric[i].real),
-             "numeric_im": float(numeric[i].imag),
-             "pair_distance": float(dist[i])} for i in range(n)]
+             "index": i, "analytic_re": a_re, "analytic_im": a_im,
+             "numeric_re": n_re, "numeric_im": n_im, "pair_distance": d}
+            for i, (a_re, a_im, n_re, n_im, d) in enumerate(columns, 1)]
     write_rows(rows, SPECTRUM_FIELDS, args.out, args.format)
     return 0
 

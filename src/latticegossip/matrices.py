@@ -110,11 +110,14 @@ def _unit_values(x, what: str) -> np.ndarray:
     if xs.ndim > 1:
         raise ValueError(f"{what} must be a scalar or a 1-D array, got "
                          f"shape {xs.shape}")
-    bad = ~((xs >= 0.0) & (xs <= 1.0))
-    if bad.any():
+    good = (xs >= 0.0) & (xs <= 1.0)
+    if not good.all():
         raise ValueError(f"{what} must lie in [0, 1], got "
-                         f"{xs.flat[bad.argmax()]}")
+                         f"{xs.flat[good.argmin()]}")
     return xs
+
+
+_OFFSETS = np.arange(-2, 3)[:, None]
 
 
 def primitive_gossip_matrix(n: int, w) -> np.ndarray:
@@ -140,15 +143,22 @@ def primitive_gossip_matrix(n: int, w) -> np.ndarray:
     seed_of = j % 5
     seeds = np.zeros((n, k, 5))
     seeds[j, :, seed_of] = 1.0
-    apply_period(seeds, np.broadcast_to(ws.reshape(1, k, 1), (n - 1, k, 1)))
+    # One weight takes the kernel's scalar path: the same floating-point
+    # operations, without the per-edge weight views.
+    apply_period(seeds, float(ws) if ws.ndim == 0 else
+                 np.broadcast_to(ws.reshape(1, k, 1), (n - 1, k, 1)))
+    # diagonals[2 + offset, c] = W[c + offset, c], row c + offset of seed
+    # c % 5, in one gather; rows outside W wrap round and go unused.
+    diagonals = seeds[(j + _OFFSETS) % n, :, seed_of]
     out = np.zeros((k, n, n))
     flat = out.reshape(k, n * n)
     for offset in range(-2, 3):
-        # Entries (c + offset, c) lie on one flat slice of step n + 1.
-        cols = slice(max(0, -offset), n - max(0, offset))
-        rows = j[cols] + offset
-        flat[:, rows[0] * n + cols.start:rows[-1] * n + cols.stop:n + 1] = \
-            seeds[rows, :, seed_of[cols]].T
+        # Entries (c + offset, c), c in [lo, hi), lie on one flat slice of
+        # step n + 1.
+        lo, hi = max(0, -offset), n - max(0, offset)
+        start = (lo + offset) * n + lo
+        flat[:, start:start + (hi - lo - 1) * (n + 1) + 1:n + 1] = \
+            diagonals[2 + offset, lo:hi].T
     return out if ws.ndim else out[0]
 
 

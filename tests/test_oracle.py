@@ -41,9 +41,12 @@ Proves:
      where it splits, with real eigenvalues and a residual of at most
      1e-14.
      A 1-D array of weights on one side of 1/2 gives the bytes of its
-     per-weight calls, and below 1/2 the bytes of the Gram product of the
-     period applied to the whole identity; its Gram stack is bit-symmetric
-     and, at even n, bit-equal to its rotation.
+     per-weight calls.  Below 1/2 those are the bytes of a reference that
+     sums c[k, i] * c[k, j] over the rows k of the period applied to the
+     whole identity in ascending order, entry by entry (averaged with its
+     rotation at even n), and within 4 ulps of the dense BLAS product
+     c.T @ c; its stack is bit-symmetric and, at even n, bit-equal to its
+     rotation.
  10. The reflection split, inside both solvers: at even n the period
      matrix is bit-equal to its 180-degree rotation, and the eigenvalues
      of its two half-order blocks together lie within 1e-13 of the whole
@@ -56,6 +59,16 @@ Proves:
      even n up to 520, so it always splits; the order limit applies to
      the caller's order, not the halves'; and an empty matrix or stack is
      a ValueError.
+ 11. The w <= 1/2 matrix is built from its band: at every n from 3 to 600
+     and at 1000 and 2000, for 0, 1e-300, verify's low weights, and 1/2
+     and the float 4 ulps below it, it is bit-symmetric, bit-equal to its
+     rotation at even n, exactly zero off its seven central diagonals and
+     doubly stochastic within 1e-12, and a stack is the bytes of its
+     per-weight calls; the optimal weight 4 ulps either side, which lies
+     above 1/2, gives W(w) itself.  The private band holds the result's
+     four upper diagonals, zeros after each, and its scatter rebuilds the
+     result.  A bad weight anywhere in the input is rejected before
+     anything is built.
 """
 import hashlib
 import math
@@ -63,10 +76,11 @@ import math
 import numpy as np
 import pytest
 
-from latticegossip import cli, matrices
+from latticegossip import cli, matrices, oracle
 from latticegossip.matrices import (expected_failure_matrix, optimal_schedule,
                                     pair_update_matrix, primitive_gossip_matrix)
-from latticegossip.oracle import (MAX_SPECTRUM_ORDER, determinant_shifted,
+from latticegossip.oracle import (MAX_SPECTRUM_ORDER, _band_matrix,
+                                  _gram_band, determinant_shifted,
                                   eigenvalues, enumerate_failure_expectation,
                                   full_spectrum, isospectral_matrix,
                                   reflection_halves, spectral_gap_numeric,
@@ -521,11 +535,33 @@ def test_oracle_matrix_has_the_spectrum_of_w_at_large_n(n, w):
 
 
 def identity_gram(n, w):
-    """isospectral_matrix below 1/2 as first written: W(h) from the period
-    applied to the whole identity, one weight per call."""
+    """isospectral_matrix below 1/2, entry by entry: W(h) from the period
+    applied to the whole identity, and each entry (i, j) of W(h)^T W(h) the
+    running float sum over rows k = 0..n-1 ascending of
+    c[k, i] * c[k, j], one IEEE product and sum at a time as a Python loop
+    would add them; at even n averaged with its rotation.  It uses neither
+    the band nor BLAS."""
+    c = matrices.apply_period(np.eye(n), w / (1.0 + math.sqrt(1.0 - 2.0 * w)))
+    g = np.zeros((n, n))
+    for row in c:
+        g += np.multiply.outer(row, row)
+    return g if n % 2 else (g + g[::-1, ::-1]) / 2
+
+
+def dense_gram(n, w):
+    """isospectral_matrix below 1/2 as first written: the dense BLAS
+    product c.T @ c of the identity build, averaged with its rotation at
+    even n."""
     c = matrices.apply_period(np.eye(n), w / (1.0 + math.sqrt(1.0 - 2.0 * w)))
     g = c.T @ c
     return g if n % 2 else (g + g[::-1, ::-1]) / 2
+
+
+def within_ulps(a, b, ulps=4):
+    """Whether a and b agree entrywise within ulps units in the last place
+    of the larger magnitude."""
+    return bool((np.abs(a - b) <= ulps * np.spacing(
+        np.maximum(np.abs(a), np.abs(b)))).all())
 
 
 @pytest.mark.parametrize("n", list(range(3, 41)) + [64, 127, 128, 255, 256])
@@ -539,10 +575,108 @@ def test_oracle_stacks_are_the_bytes_of_per_weight_calls(n):
             assert m.tobytes() == one.tobytes(), (n, w)
             if w <= 0.5:
                 assert one.tobytes() == identity_gram(n, w).tobytes(), (n, w)
+                assert within_ulps(one, dense_gram(n, w)), (n, w)
         if max(group) <= 0.5:
             assert np.array_equal(stack, stack.swapaxes(-1, -2))
             if n % 2 == 0:
                 assert np.array_equal(stack, stack[..., ::-1, ::-1])
+
+
+# --- the w <= 1/2 matrix from its band ---------------------------------------------
+
+
+def ulps_away(x, k):
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+def band_weight_groups(n):
+    """0, 1e-300, verify's low weights, and 1/2 with the float 4 ulps below
+    it, all built from the band; then the optimal weight 1/(1 + sin(pi/n))
+    4 ulps either side, which lies above 1/2 at every n >= 3 and so gives
+    W(w) itself."""
+    w_star = 1.0 / (1.0 + math.sin(math.pi / n))
+    return ([0.0, 1e-300] + LOW_WEIGHTS + [ulps_away(0.5, -4), 0.5],
+            [ulps_away(w_star, -4), ulps_away(w_star, 4)])
+
+
+def chunks(weights, n, limit=4 << 20):
+    """weights in runs of at most limit bytes of n x n matrices."""
+    per = max(1, limit // (8 * n * n))
+    return [weights[i:i + per] for i in range(0, len(weights), per)]
+
+
+def bits(m):
+    return m.view(np.int64)
+
+
+def diagonal_bits(m, d):
+    return bits(m).diagonal(d, axis1=-2, axis2=-1)
+
+
+@pytest.mark.parametrize("ns", [range(lo, min(lo + 100, 601))
+                                for lo in range(3, 601, 100)]
+                         + [[1000, 2000]], ids=lambda ns: f"{ns[0]}-{ns[-1]}")
+def test_band_build_is_symmetric_banded_stochastic_and_splits(ns):
+    # With every nonzero bit pattern on the seven central diagonals, the
+    # matrix is bit-symmetric if diagonals d and -d are, and bit-equal to
+    # its rotation if, besides, each diagonal equals its reverse.
+    for n in ns:
+        low, high = band_weight_groups(n)
+        for chunk in chunks(low, n):
+            stack = isospectral_matrix(n, np.array(chunk))
+            for w, m in zip(chunk, stack):
+                one = isospectral_matrix(n, w)
+                assert np.array_equal(bits(m), bits(one)), (n, w)
+            on_band = sum(np.count_nonzero(diagonal_bits(stack, d))
+                          for d in range(-3, 4))
+            assert np.count_nonzero(bits(stack)) == on_band, n
+            for d in range(1, 4):
+                assert np.array_equal(diagonal_bits(stack, d),
+                                      diagonal_bits(stack, -d)), (n, d)
+            if n % 2 == 0:
+                for d in range(4):
+                    upper = diagonal_bits(stack, d)
+                    assert np.array_equal(upper, upper[:, ::-1]), (n, d)
+            # Bit-symmetric, so the column sums are the row sums.
+            assert np.abs(stack.sum(axis=-1) - 1.0).max() <= 1e-12, n
+        stack = isospectral_matrix(n, np.array(high))
+        assert np.array_equal(stack,
+                              primitive_gossip_matrix(n, np.array(high)))
+        for w, m in zip(high, stack):
+            one = isospectral_matrix(n, w)
+            assert np.array_equal(bits(m), bits(one)), (n, w)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 8, 9, 60, 61])
+def test_band_is_the_four_upper_diagonals_of_the_result(n):
+    ws = np.array([0.0, 0.2, 0.5])
+    result = isospectral_matrix(n, ws)
+    band = _gram_band(primitive_gossip_matrix(
+        n, ws / (1.0 + np.sqrt(1.0 - 2.0 * ws))))
+    assert band.shape == (len(ws), 4, n)
+    for d in range(4):
+        assert np.array_equal(bits(band[:, d, :max(0, n - d)]), bits(
+            result.diagonal(d, axis1=-2, axis2=-1))), d
+        assert not bits(band[:, d, max(0, n - d):]).any(), d
+    assert np.array_equal(bits(_band_matrix(band, np.zeros(result.shape))),
+                          bits(result))
+
+
+@pytest.mark.parametrize("value", [[0.3, math.nan], [0.3, -1e-300], [0.3, 0.7],
+                                   [[0.3]], 1.5, math.nan])
+def test_band_weights_are_checked_before_any_build(monkeypatch, value):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("built before every weight was checked")
+
+    for module, name in ((matrices, "primitive_gossip_matrix"),
+                         (matrices, "apply_period"),
+                         (oracle, "_gram_band"), (oracle, "_band_matrix")):
+        monkeypatch.setattr(module, name, must_not_run)
+    with pytest.raises(ValueError, match="must lie in|must be a scalar|"
+                                         "one side of 1/2"):
+        isospectral_matrix(8, value)
 
 
 def test_oracle_matrix_above_half_is_the_period_matrix():
