@@ -7,11 +7,12 @@ whose powers drive the consensus dynamics.  Every builder returns the dense
 (n, n) array itself, or for a 1-D array of k weights the (k, n, n) stack.
 
 One kernel, apply_period, applies a period to the rows of an array: the
-builders apply it to five seed columns per matrix, O(n) work, and the
-simulator to the state.  The expected one-period matrix under independent
-Bernoulli link failures with probability p is not a family of its own: each
-edge's expected factor p*I + (1-p)*P_{1/2} is the weighted pair update at
-w = (1-p)/2.
+builders apply it to a few seed columns per matrix, O(n) work
+(_seed_diagonals: five for W, seven for the oracle's three-round product
+S1(h) S2(w) S1(h)), and the simulator to the state.  The expected
+one-period matrix under independent Bernoulli link failures with
+probability p is not a family of its own: each edge's expected factor
+p*I + (1-p)*P_{1/2} is the weighted pair update at w = (1-p)/2.
 """
 from __future__ import annotations
 
@@ -117,7 +118,38 @@ def _unit_values(x, what: str) -> np.ndarray:
     return xs
 
 
-_OFFSETS = np.arange(-2, 3)[:, None]
+def _seed_diagonals(n: int, k: int, width: int, *periods) -> np.ndarray:
+    """The (width, n, k) diagonals of the k products M of the given periods,
+    applied in turn (each a weight for apply_period), as
+    diagonals[width // 2 + o, c] = M[c + o, c] for |o| <= width // 2.
+
+    Column j of M is the periods applied to e_j.  Where M is zero off its
+    width central diagonals, columns j and j + width never meet in one
+    pair update, so the periods applied to width seed columns, seed
+    j % width holding every e_j, give each column of M with the operations
+    of its own e_j in O(n) per period (the column grouping of Curtis,
+    Powell and Reid, J. Inst. Math. Appl. 13, 1974).  Rows c + o outside M
+    wrap round and hold nothing of column c.
+    """
+    j = np.arange(n)
+    seed_of = j % width
+    seeds = np.zeros((n, k, width))
+    seeds[j, :, seed_of] = 1.0
+    for period in periods:
+        apply_period(seeds, period)
+    half = width // 2
+    # Row c + o of seed c % width, every (o, c) in one gather.
+    return seeds[(j + np.arange(-half, half + 1)[:, None]) % n, :, seed_of]
+
+
+def _write_diagonal(out: np.ndarray, offset: int, values: np.ndarray) -> None:
+    """Write the (n - |offset|, k) values to the entries (c + offset, c),
+    c ascending, of the C-contiguous (k, n, n) out: one flat slice of step
+    n + 1 per matrix."""
+    k, n, _ = out.shape
+    start = offset * n if offset >= 0 else -offset
+    stop = start + (n - abs(offset) - 1) * (n + 1) + 1
+    out.reshape(k, n * n)[:, start:stop:n + 1] = values.T
 
 
 def primitive_gossip_matrix(n: int, w) -> np.ndarray:
@@ -127,38 +159,23 @@ def primitive_gossip_matrix(n: int, w) -> np.ndarray:
     state evolves x -> S1 x -> S2 S1 x across one period.  The result is a
     doubly stochastic pentadiagonal matrix.  A 1-D array of k weights gives
     the (k, n, n) stack of their matrices; every weight is checked before
-    anything is built.
-
-    Column j of W is the period applied to e_j and lies in rows j-2..j+2,
-    so columns j and j+5 never meet in one pair update: one period applied
-    to five seed columns, seed j % 5 holding every e_j, gives each column
-    of W with the operations of its own e_j in O(n) (the column grouping
-    of Curtis, Powell and Reid, J. Inst. Math. Appl. 13, 1974).
+    anything is built.  W is built from five seed columns in O(n)
+    (_seed_diagonals), each column with the operations of the period
+    applied to its own e_j.
     """
     if n < 3:
         raise ValueError(f"primitive gossip matrix needs n >= 3, got n={n}")
     ws = _unit_values(w, "gossip weight")
     k = ws.size
-    j = np.arange(n)
-    seed_of = j % 5
-    seeds = np.zeros((n, k, 5))
-    seeds[j, :, seed_of] = 1.0
     # One weight takes the kernel's scalar path: the same floating-point
     # operations, without the per-edge weight views.
-    apply_period(seeds, float(ws) if ws.ndim == 0 else
-                 np.broadcast_to(ws.reshape(1, k, 1), (n - 1, k, 1)))
-    # diagonals[2 + offset, c] = W[c + offset, c], row c + offset of seed
-    # c % 5, in one gather; rows outside W wrap round and go unused.
-    diagonals = seeds[(j + _OFFSETS) % n, :, seed_of]
+    diagonals = _seed_diagonals(
+        n, k, 5, float(ws) if ws.ndim == 0 else
+        np.broadcast_to(ws.reshape(1, k, 1), (n - 1, k, 1)))
     out = np.zeros((k, n, n))
-    flat = out.reshape(k, n * n)
     for offset in range(-2, 3):
-        # Entries (c + offset, c), c in [lo, hi), lie on one flat slice of
-        # step n + 1.
         lo, hi = max(0, -offset), n - max(0, offset)
-        start = (lo + offset) * n + lo
-        flat[:, start:start + (hi - lo - 1) * (n + 1) + 1:n + 1] = \
-            diagonals[2 + offset, lo:hi].T
+        _write_diagonal(out, offset, diagonals[2 + offset, lo:hi])
     return out if ws.ndim else out[0]
 
 

@@ -40,11 +40,12 @@ nothing of the closed forms.
 
 isospectral_matrix(n, w) builds the matrix the CLI solves for W(w), or
 for an array of weights on one side of 1/2 the stack of them.  For
-w <= 1/2 that is W(h)^T W(h), of bandwidth 3, built from its band in O(n)
-per matrix: its four upper diagonals are elementwise products of W(h)'s
-five diagonals, summed in ascending row order and written to both sides,
-so it is bit-symmetric, and at even n each is averaged with its reverse,
-so it is bit-equal to its rotation and splits.
+w <= 1/2 that is S1(h) S2(w) S1(h) = W(h)^T W(h), of bandwidth 3, built in
+O(n) per matrix by the period kernel on seven seed columns, the one build
+of every matrix here: each diagonal is averaged with its mirror across the
+main diagonal and written to both sides, so it is bit-symmetric, and at
+even n each is averaged with its reverse, so it is bit-equal to its
+rotation and splits.
 
 Closed-form and numeric spectra are compared by a greedy pairing: the
 closest unmatched pair first.  spectrum_pairing pairs two 1-D spectra;
@@ -263,88 +264,22 @@ def reflection_halves(a) -> np.ndarray:
     return np.stack([top + bj, top - bj], axis=-3).reshape(-1, h, h)
 
 
-def _strided(a: np.ndarray, offset: int, shape, strides) -> np.ndarray:
-    """A view of the C-contiguous array a from flat element offset, with
-    strides counted in elements; numpy rejects a view that leaves a."""
-    size = a.itemsize
-    return np.ndarray(shape, a.dtype, a, offset * size,
-                      [stride * size for stride in strides])
-
-
-def _gram_band(c: np.ndarray) -> np.ndarray:
-    """The main and three upper diagonals of c^T c for a (k, n, n) stack of
-    pentadiagonal c, averaged with their reverses at even n: a (k, 4, n)
-    array holding diagonal d in [:, d, :n - d] and zeros after it.
-
-    Entry (i, i + d) is the sum over rows i + r, r = -2..2 ascending, of
-    c[i + r, i] * c[i + r, i + d]: O(n) elementwise products and no BLAS.
-    A term whose row lies outside c, or past the end of the diagonal, is
-    an exact zero, as is one whose second factor lies off c's band, so
-    every entry has the bits of the plain sum over every row in ascending
-    order.
-    """
-    k, n, _ = c.shape
-    flat = c.reshape(k, n * n)
-    # taps[:, j, 5 + s] = c[j + s, j] (s = -2..2), zero where row j + s
-    # lies outside c.  Columns 0..2 and positions n..n+3 stay zero, so the
-    # factor c[i + r, i + d] = taps[:, i + d, 5 + r - d], at flat index
-    # 8 i + 7 d + r + 5, is an exact zero wherever it lies off c's band or
-    # past its last column.
-    taps = np.zeros((k, n + 4, 8))
-    for s in range(-2, 3):
-        lo, hi = max(0, -s), n - max(0, s)
-        start = (lo + s) * n + lo
-        taps[:, lo:hi, 5 + s] = \
-            flat[:, start:start + (hi - lo - 1) * (n + 1) + 1:n + 1]
-    # second[:, d, r + 2, i] is that factor, read in place.
-    second = _strided(taps, 3, (k, 4, 5, n + 1), (8 * (n + 4), 7, 1, 8))
-    # Five terms per entry, in a C-ordered array so that they are summed in
-    # order along their axis; entry n of each diagonal is a zero, as its
-    # first factors lie in a zero row.
-    terms = np.multiply(taps[:, None, :n + 1, 3:].swapaxes(-1, -2), second,
-                        order="C")
-    band = terms.sum(axis=2)
-    if n % 2 == 0:
-        # Entry n - 1 - d - i of diagonal d, at flat d n + n - 1 - i; past
-        # the diagonal's end that runs back into the zeros after diagonal
-        # d - 1.
-        band = band[..., :n] + _strided(band, n - 1, (k, 4, n),
-                                        (4 * (n + 1), n, -1))
-        band /= 2
-        return band
-    return band[..., :n]
-
-
-def _band_matrix(band: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write a (k, 4, n) band of _gram_band to both sides of the diagonal of
-    the C-contiguous (k, n, n) out, which must be zero off its seven
-    central diagonals, and return out."""
-    k, _, n = band.shape
-    flat = out.reshape(k, n * n)
-    for d in range(min(4, n)):
-        m = n - d
-        # Entries (i, i + d) and (i + d, i) lie on flat slices of step
-        # n + 1, from d and from d * n.
-        for start in {d, d * n}:
-            flat[:, start:start + (m - 1) * (n + 1) + 1:n + 1] = band[:, d, :m]
-    return out
-
-
 def isospectral_matrix(n: int, w) -> np.ndarray:
     """A matrix with the eigenvalues of the period matrix W(w) = S2 S1.
 
     For w <= 1/2, each round S_k(h) at h = w / (1 + sqrt(1 - 2w)), the root
     of 2h(1 - h) = w written without cancellation, is the positive
-    semidefinite square root of S_k(w), so W(w) has the eigenvalues of
-    S1(h) S2(w) S1(h) = W(h)^T W(h).  That product of three tridiagonal
-    factors has bandwidth 3: its main and three upper diagonals are formed
-    from the five diagonals of W(h) by elementwise products summed in
-    ascending row order, O(n) per matrix with no BLAS (_gram_band), and
-    each is written to both sides of the diagonal (_band_matrix), so the
-    result is bit-symmetric and the solvers take the symmetric driver.  At
-    even n each diagonal is first averaged with its reverse, which it
-    equals in exact arithmetic, so the result is also bit-equal to its
-    180-degree rotation and the solvers split it.  Above 1/2, S1(w) is
+    semidefinite square root of S_k(w), so W(w) has the eigenvalues of the
+    symmetric M = S1(h) S2(w) S1(h) = W(h)^T W(h).  M is built from seven
+    seed columns (matrices._seed_diagonals): the rounds S1(h), S2(w) and
+    S1(h) run as two periods, h on the e1 edges and then w and 0 on the e2
+    edges, where a weight of 0 skips its pair exactly.  M has bandwidth 3,
+    so each column comes with the operations of its own e_j in O(n).  Each
+    diagonal d = 0..3 is averaged with diagonal -d and written
+    to both, so the result is bit-symmetric and the solvers take the
+    symmetric driver.  At even n each is first averaged with its reverse,
+    which it equals in exact arithmetic, so the result is also bit-equal to
+    its 180-degree rotation and the solvers split it.  Above 1/2, S1(w) is
     indefinite and W(w) itself is returned.
 
     w may also be a 1-D array of weights that all lie on one side of 1/2,
@@ -359,14 +294,26 @@ def isospectral_matrix(n: int, w) -> np.ndarray:
             raise ValueError("gossip weights of one call must all lie on "
                              "one side of 1/2")
         return matrices.primitive_gossip_matrix(n, ws)
-    h = ws / (1.0 + np.sqrt(1.0 - 2.0 * ws))
-    c = matrices.primitive_gossip_matrix(n, h)
-    stack = c.reshape(-1, n, n)
-    # W(h) is zero off its five central diagonals, all of which the
-    # product's seven cover, so the product is written over W(h) once its
-    # band is read: the call allocates one array of the result's size.
-    _band_matrix(_gram_band(stack), stack)
-    return c
+    if n < 3:
+        raise ValueError(f"isospectral matrix needs n >= 3, got n={n}")
+    k = ws.size
+    h = (ws / (1.0 + np.sqrt(1.0 - 2.0 * ws))).reshape(k, 1)
+    # Per-edge weights of the two periods: h on the odd 0-based (e1) edges
+    # of both, then w on the even (e2) edges of the first and 0 on those
+    # of the second.
+    periods = np.zeros((2, n - 1, k, 1))
+    periods[:, 1::2] = h
+    periods[0, 0::2] = ws.reshape(k, 1)
+    diagonals = matrices._seed_diagonals(n, k, 7, *periods)
+    out = np.zeros((k, n, n))
+    for d in range(min(4, n)):
+        s = (diagonals[3 - d, d:] + diagonals[3 + d, :n - d]) / 2
+        if n % 2 == 0:
+            s = (s + s[::-1]) / 2
+        matrices._write_diagonal(out, d, s)
+        if d:
+            matrices._write_diagonal(out, -d, s)
+    return out if ws.ndim else out[0]
 
 
 def spectral_gap_numeric(a) -> float:

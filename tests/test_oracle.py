@@ -30,23 +30,25 @@ Proves:
      up to n = 60; an array of shifts gives the bits of
      its one-shift determinants; a failed stack solve names its sha256
      digest; the one-matrix entry points still reject a stack.
-  9. For w <= 1/2 isospectral_matrix's W(h)^T W(h) stands in for W(w): it
-     builds W(h) through matrices.primitive_gossip_matrix with
-     2h(1 - h) = w within 1 ulp, the product is exactly symmetric and
-     doubly stochastic on the installed numpy, its symmetric solve agrees
-     with the general solve of the whole W(w) within 1e-13, and
+  9. For w <= 1/2 isospectral_matrix's S1(h) S2(w) S1(h) = W(h)^T W(h)
+     stands in for W(w): it runs the three rounds as two periods through
+     matrices.apply_period, h on the odd edges of both with
+     2h(1 - h) = w within 1 ulp, then w and 0 on the even edges; the
+     product is exactly symmetric and doubly stochastic on the installed
+     numpy, its symmetric solve agrees with the general solve of the
+     whole W(w) within 1e-13, and
      eigenvalues() sends exactly symmetric input, and only that, to the
      symmetric driver; full_spectrum sends symmetric input (one matrix of
      odd or even order, halves or a stack) to np.linalg.eigh once, split
      where it splits, with real eigenvalues and a residual of at most
      1e-14.
      A 1-D array of weights on one side of 1/2 gives the bytes of its
-     per-weight calls.  Below 1/2 those are the bytes of a reference that
-     sums c[k, i] * c[k, j] over the rows k of the period applied to the
-     whole identity in ascending order, entry by entry (averaged with its
+     per-weight calls.  Below 1/2 those are the bytes of a plain-Python
+     reference that applies the three rounds to each e_j one IEEE
+     operation at a time and takes (M + M^T) / 2 (averaged with its
      rotation at even n), and within 4 ulps of the dense BLAS product
-     c.T @ c; its stack is bit-symmetric and, at even n, bit-equal to its
-     rotation.
+     c.T @ c of c = W(h); its stack is bit-symmetric and, at even n,
+     bit-equal to its rotation.
  10. The reflection split, inside both solvers: at even n the period
      matrix is bit-equal to its 180-degree rotation, and the eigenvalues
      of its two half-order blocks together lie within 1e-13 of the whole
@@ -59,16 +61,15 @@ Proves:
      even n up to 520, so it always splits; the order limit applies to
      the caller's order, not the halves'; and an empty matrix or stack is
      a ValueError.
- 11. The w <= 1/2 matrix is built from its band: at every n from 3 to 600
-     and at 1000 and 2000, for 0, 1e-300, verify's low weights, and 1/2
-     and the float 4 ulps below it, it is bit-symmetric, bit-equal to its
-     rotation at even n, exactly zero off its seven central diagonals and
-     doubly stochastic within 1e-12, and a stack is the bytes of its
+ 11. The w <= 1/2 matrix built from seven seed columns: at every n from 3
+     to 600 and at 1000 and 2000, for 0, 1e-300, verify's low weights, and
+     1/2 and the float 4 ulps below it, it is bit-symmetric, bit-equal to
+     its rotation at even n, exactly zero off its seven central diagonals
+     and doubly stochastic within 1e-12, and a stack is the bytes of its
      per-weight calls; the optimal weight 4 ulps either side, which lies
-     above 1/2, gives W(w) itself.  The private band holds the result's
-     four upper diagonals, zeros after each, and its scatter rebuilds the
-     result.  A bad weight anywhere in the input is rejected before
-     anything is built.
+     above 1/2, gives W(w) itself.  A bad weight anywhere in the input is
+     rejected before anything is built, and an order below 3 on either
+     side of 1/2.
 """
 import hashlib
 import math
@@ -76,11 +77,10 @@ import math
 import numpy as np
 import pytest
 
-from latticegossip import cli, matrices, oracle
+from latticegossip import cli, matrices
 from latticegossip.matrices import (expected_failure_matrix, optimal_schedule,
                                     pair_update_matrix, primitive_gossip_matrix)
-from latticegossip.oracle import (MAX_SPECTRUM_ORDER, _band_matrix,
-                                  _gram_band, determinant_shifted,
+from latticegossip.oracle import (MAX_SPECTRUM_ORDER, determinant_shifted,
                                   eigenvalues, enumerate_failure_expectation,
                                   full_spectrum, isospectral_matrix,
                                   reflection_halves, spectral_gap_numeric,
@@ -490,19 +490,23 @@ LOW_WEIGHTS = [w for w in VERIFY_WEIGHTS if w <= 0.5]
 
 @pytest.mark.parametrize("w", [0.0, 1e-300, 1e-12] + LOW_WEIGHTS)
 def test_root_weight_solves_the_pair_square(monkeypatch, w):
-    # W(h) is built through the module attribute, where the benchmark's
-    # tracer counts matrix builds.
-    weights, build = [], matrices.primitive_gossip_matrix
+    # The rounds S1(h), S2(w), S1(h) run as two periods through the
+    # module's kernel: h on the odd (e1) edges of both, then w and 0 on
+    # the even (e2) edges.
+    periods, kernel = [], matrices.apply_period
 
-    def building(n, h):
-        weights.append(h)
-        return build(n, h)
+    def applying(x, weights):
+        periods.append(np.array(weights, dtype=float).reshape(-1))
+        return kernel(x, weights)
 
-    monkeypatch.setattr(matrices, "primitive_gossip_matrix", building)
-    isospectral_matrix(5, w)
-    (h,) = weights
-    assert 0.0 <= h <= 0.5
-    assert abs(2.0 * h * (1.0 - h) - w) <= math.ulp(w)
+    monkeypatch.setattr(matrices, "apply_period", applying)
+    isospectral_matrix(6, w)
+    first, second = periods
+    for h in np.concatenate([first[1::2], second[1::2]]).tolist():
+        assert 0.0 <= h <= 0.5
+        assert abs(2.0 * h * (1.0 - h) - w) <= math.ulp(w)
+    assert first[0::2].tolist() == [w] * 3
+    assert second[0::2].tolist() == [0.0] * 3
 
 
 def test_oracle_matrix_is_exactly_symmetric_and_doubly_stochastic():
@@ -534,17 +538,23 @@ def test_oracle_matrix_has_the_spectrum_of_w_at_large_n(n, w):
         np.linalg.eigvals(primitive_gossip_matrix(n, w))) <= 1e-13
 
 
-def identity_gram(n, w):
-    """isospectral_matrix below 1/2, entry by entry: W(h) from the period
-    applied to the whole identity, and each entry (i, j) of W(h)^T W(h) the
-    running float sum over rows k = 0..n-1 ascending of
-    c[k, i] * c[k, j], one IEEE product and sum at a time as a Python loop
-    would add them; at even n averaged with its rotation.  It uses neither
-    the band nor BLAS."""
-    c = matrices.apply_period(np.eye(n), w / (1.0 + math.sqrt(1.0 - 2.0 * w)))
-    g = np.zeros((n, n))
-    for row in c:
-        g += np.multiply.outer(row, row)
+def plain_rounds(n, w):
+    """isospectral_matrix below 1/2 in plain Python floats: the rounds
+    S1(h), S2(w), S1(h) applied to each e_j one IEEE operation at a time,
+    pair (i, i+1) to (a(1 - v) + bv, b(1 - v) + av), then (M + M^T) / 2,
+    averaged with its rotation at even n.  It uses neither the period
+    kernel nor BLAS."""
+    h = w / (1.0 + math.sqrt(1.0 - 2.0 * w))
+    m = np.zeros((n, n))
+    for j in range(n):
+        x = [0.0] * n
+        x[j] = 1.0
+        for first, v in ((1, h), (0, w), (1, h)):
+            for i in range(first, n - 1, 2):
+                a, b = x[i], x[i + 1]
+                x[i], x[i + 1] = a * (1 - v) + b * v, b * (1 - v) + a * v
+        m[:, j] = x
+    g = (m + m.T) / 2
     return g if n % 2 else (g + g[::-1, ::-1]) / 2
 
 
@@ -574,7 +584,7 @@ def test_oracle_stacks_are_the_bytes_of_per_weight_calls(n):
             one = isospectral_matrix(n, w)
             assert m.tobytes() == one.tobytes(), (n, w)
             if w <= 0.5:
-                assert one.tobytes() == identity_gram(n, w).tobytes(), (n, w)
+                assert one.tobytes() == plain_rounds(n, w).tobytes(), (n, w)
                 assert within_ulps(one, dense_gram(n, w)), (n, w)
         if max(group) <= 0.5:
             assert np.array_equal(stack, stack.swapaxes(-1, -2))
@@ -582,7 +592,7 @@ def test_oracle_stacks_are_the_bytes_of_per_weight_calls(n):
                 assert np.array_equal(stack, stack[..., ::-1, ::-1])
 
 
-# --- the w <= 1/2 matrix from its band ---------------------------------------------
+# --- the w <= 1/2 matrix from seven seed columns -----------------------------------
 
 
 def ulps_away(x, k):
@@ -593,7 +603,7 @@ def ulps_away(x, k):
 
 def band_weight_groups(n):
     """0, 1e-300, verify's low weights, and 1/2 with the float 4 ulps below
-    it, all built from the band; then the optimal weight 1/(1 + sin(pi/n))
+    it, all built from seven seed columns; then the optimal weight 1/(1 + sin(pi/n))
     4 ulps either side, which lies above 1/2 at every n >= 3 and so gives
     W(w) itself."""
     w_star = 1.0 / (1.0 + math.sin(math.pi / n))
@@ -649,34 +659,25 @@ def test_band_build_is_symmetric_banded_stochastic_and_splits(ns):
             assert np.array_equal(bits(m), bits(one)), (n, w)
 
 
-@pytest.mark.parametrize("n", [3, 4, 5, 8, 9, 60, 61])
-def test_band_is_the_four_upper_diagonals_of_the_result(n):
-    ws = np.array([0.0, 0.2, 0.5])
-    result = isospectral_matrix(n, ws)
-    band = _gram_band(primitive_gossip_matrix(
-        n, ws / (1.0 + np.sqrt(1.0 - 2.0 * ws))))
-    assert band.shape == (len(ws), 4, n)
-    for d in range(4):
-        assert np.array_equal(bits(band[:, d, :max(0, n - d)]), bits(
-            result.diagonal(d, axis1=-2, axis2=-1))), d
-        assert not bits(band[:, d, max(0, n - d):]).any(), d
-    assert np.array_equal(bits(_band_matrix(band, np.zeros(result.shape))),
-                          bits(result))
-
-
 @pytest.mark.parametrize("value", [[0.3, math.nan], [0.3, -1e-300], [0.3, 0.7],
                                    [[0.3]], 1.5, math.nan])
 def test_band_weights_are_checked_before_any_build(monkeypatch, value):
     def must_not_run(*args, **kwargs):
         raise AssertionError("built before every weight was checked")
 
-    for module, name in ((matrices, "primitive_gossip_matrix"),
-                         (matrices, "apply_period"),
-                         (oracle, "_gram_band"), (oracle, "_band_matrix")):
-        monkeypatch.setattr(module, name, must_not_run)
+    for name in ("primitive_gossip_matrix", "apply_period",
+                 "_seed_diagonals", "_write_diagonal"):
+        monkeypatch.setattr(matrices, name, must_not_run)
     with pytest.raises(ValueError, match="must lie in|must be a scalar|"
                                          "one side of 1/2"):
         isospectral_matrix(8, value)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+@pytest.mark.parametrize("w", [0.3, 0.8])
+def test_oracle_matrix_needs_three_nodes(n, w):
+    with pytest.raises(ValueError, match="needs n >= 3"):
+        isospectral_matrix(n, w)
 
 
 def test_oracle_matrix_above_half_is_the_period_matrix():

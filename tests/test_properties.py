@@ -31,9 +31,10 @@ grid, with the tolerance of the matching fixed-grid test:
      rows' distances.
   8. A stack of weights drawn from [0, 1] builds, matrix for matrix, the
      bytes of the period applied to the whole identity.
-  9. isospectral_matrix, built from its band below 1/2, is within 4 ulps
-     of the dense BLAS product W(h)^T W(h) (averaged with its rotation at
-     even n) for n in 3..200 and any stack of weights in [0, 1/2].
+  9. isospectral_matrix, built from seven seed columns below 1/2, is
+     within 4 ulps of the dense BLAS product W(h)^T W(h) (averaged with
+     its rotation at even n) for n in 3..200 and any stack of weights in
+     [0, 1/2].
 
 Examples are derandomized, so every run draws the same cases.
 """
