@@ -7,6 +7,7 @@ byte-identical files.  Floats are printed with 10 significant digits.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -65,11 +66,22 @@ def _json_value(value):
     return value
 
 
+def _fmt_column(values: list):
+    """_fmt_cell of every value, as an iterator: a column of floats is
+    formatted by one map of format, with no per-cell type test."""
+    if all(type(v) is float for v in values):
+        return map(format, values, itertools.repeat(".10g"))
+    return map(_fmt_cell, values)
+
+
 def write_rows(rows: list[dict], fields: tuple[str, ...], out: str | None,
                fmt: str) -> None:
     if fmt == "csv":
-        lines = [",".join(fields)]
-        lines += [",".join(_fmt_cell(row[f]) for f in fields) for row in rows]
+        # Rows are joined as the column iterators yield them, so no more
+        # than one row's cells exist at a time.
+        columns = [_fmt_column([row[f] for row in rows]) for f in fields]
+        lines = [",".join(fields)] + [",".join(cells)
+                                      for cells in zip(*columns)]
         text = "\n".join(lines) + "\n"
     elif fmt == "json":
         payload = [{f: _json_value(row[f]) for f in fields} for row in rows]

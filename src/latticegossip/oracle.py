@@ -20,9 +20,10 @@ fingerprint.
 
 Both solvers also take a (k, n, n) stack of matrices, and
 determinant_shifted takes an array of shifts; either way the whole batch is
-one LAPACK call that runs the same routine on each matrix, so every entry
-has the bits of its own one-matrix call.  full_spectrum takes the residual
-of the whole solved stack in one matmul-and-norm pass.
+one LAPACK call that runs the same routine on each matrix (below the
+recursive split's orders, see below), so every entry has the bits of its
+own one-matrix call.  full_spectrum takes the residual of each solved
+block or stack in one matmul-and-norm pass.
 enumerate_failure_expectation takes an array of failure probabilities: it
 builds the 2^(n-1) failure-pattern products once and weights and sums them
 for each p, every entry with the bits of its own one-p call.
@@ -33,10 +34,19 @@ form [[A, B], [J B J, J A J]], and the orthogonal
 Q = [[I, I], [J, -J]] / sqrt(2) gives Q^T W Q = diag(A + B J, A - B J).
 reflection_halves() returns those two blocks of order n/2, and the solvers
 solve them in place of W: two general solves of half the order cost about
-a quarter of one.  A stack splits only if every matrix in it does, and is
-otherwise solved whole, as is any other input.  The split is plain linear
-algebra (Cantoni and Butler, Linear Algebra Appl. 13, 1976) and uses
-nothing of the closed forms.
+a quarter of one.  When 4 divides n, the first block A + B J of a period
+matrix is often bit-equal to its own rotation too (the symmetric modes
+live on the n/2-node path folded at its middle edge, whose two ends look
+alike), so the solvers split it again by the same test, and its first
+block after that, while that block has even order of at least
+SPLIT_FLOOR: W(0.8) at n = 512 is solved as blocks of order 32, 32, 64,
+128 and 256, about 0.57 of the flops of the two halves.  Below
+n = 2 SPLIT_FLOOR nothing splits past the halves.  A stack of even order
+n >= 2 SPLIT_FLOOR is solved matrix by matrix, each as deep as it splits;
+any other stack splits into its halves only if every matrix in it does,
+and is otherwise solved whole, as is any other input.  The split is plain
+linear algebra (Cantoni and Butler, Linear Algebra Appl. 13, 1976) and
+uses nothing of the closed forms.
 
 isospectral_matrix(n, w) builds the matrix the CLI solves for W(w), or
 for an array of weights on one side of 1/2 the stack of them.  For
@@ -66,6 +76,12 @@ import numpy as np
 from . import matrices
 
 MAX_SPECTRUM_ORDER = 2000
+
+# Smallest order of a first reflection half that the solvers split again
+# (see _solve_blocks).  On general W(w) at n = 128..256, floors of 16, 32
+# and 64 took the same time within 1%, and 128 took a third more at
+# n = 224 and 320; 64 keeps the bits of every n below 128.
+SPLIT_FLOOR = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,21 +127,55 @@ def _as_matrices(a) -> np.ndarray:
     return m
 
 
+def _solve_blocks(m: np.ndarray, solver) -> list:
+    """(block, solver(block)) for each block solved in place of m, a
+    matrix or a stack below order 2 SPLIT_FLOOR: m's reflection_halves,
+    except that while a matrix's first half has order SPLIT_FLOOR or more
+    and splits, that half's halves stand in for it.  The deepest first
+    block comes first, then the second halves from the deepest outward;
+    two halves that are not split again stay one (2, h, h) stack.  Each
+    second half is solved before its first half is split, so the largest
+    solve runs before any deeper block is built."""
+    if not _splits(m):
+        return [(m, solver(m))]
+    halves = _halves(m)
+    outer = []
+    while halves.shape[-1] >= SPLIT_FLOOR and _splits(halves[0]):
+        outer.append((halves[1], solver(halves[1])))
+        halves = _halves(halves[0])
+    return [(halves, solver(halves))] + outer[::-1]
+
+
 def _solve(a, solver):
-    """(m, s, solver(s)) for a as m (see _as_matrices) and s its
-    reflection_halves.  A convergence failure names m by a sha256 prefix."""
+    """(m, parts): a as m (see _as_matrices), cut into parts solved on
+    their own, each given as (part, its _solve_blocks).  A stack of an
+    even order that could split past its halves has a part per matrix,
+    since each matrix splits as deep as it splits; any other input is one
+    part.  A convergence failure names m by a sha256 prefix."""
     m = _as_matrices(a)
-    solved = reflection_halves(m)
+    n = m.shape[-1]
+    whole = m.ndim == 2 or n % 2 or n // 2 < SPLIT_FLOOR
     try:
-        return m, solved, solver(solved)
+        parts = [(part, _solve_blocks(part, solver))
+                 for part in ([m] if whole else m)]
     except np.linalg.LinAlgError as exc:
         import hashlib  # only on this path: keeps package import fast
-        n = m.shape[-1]
         digest = hashlib.sha256(m.tobytes()).hexdigest()[:16]
         what = (f"stack of {len(m)} {n}x{n} matrices" if m.ndim == 3
                 else f"{n}x{n} matrix")
         raise RuntimeError(f"eigensolver failed to converge on the {what} "
                            f"(sha256 {digest})") from exc
+    return m, parts
+
+
+def _rows(m: np.ndarray, parts, values) -> np.ndarray:
+    """The eigenvalues of m, values(result) of each block's solve: each
+    part's blocks side by side, a row per matrix, in the shape of m less
+    its last axis."""
+    rows = [np.concatenate([values(result).reshape(part.shape[:-2] + (-1,))
+                            for _, result in solved], axis=-1)
+            for part, solved in parts]
+    return np.concatenate(rows).reshape(m.shape[:-1])
 
 
 def _symmetric(m: np.ndarray) -> bool:
@@ -148,17 +198,22 @@ def _eig(m: np.ndarray):
 def eigenvalues(a) -> np.ndarray:
     """All eigenvalues of a real square matrix, without eigenvectors.
 
-    The input is solved as its reflection_halves.  An exactly symmetric
-    input (every matrix of a stack bit-equal to its transpose) is solved by
-    the symmetric driver: real eigenvalues in ascending order, per half
-    where it splits.  Any other input takes the same Hessenberg-plus-QR
-    solve as full_spectrum, run for the eigenvalues only: complex
-    eigenvalues come out in exact conjugate pairs.  No residual is
-    computed.  A (k, n, n) stack gives a (k, n) array, one row per matrix;
-    a split matrix's row holds the eigenvalues of A + B J, then of A - B J.
+    The input is solved as its reflection_halves, and a first half of
+    order SPLIT_FLOOR or more that is bit-equal to its own rotation as its
+    halves in turn, down the chain of blocks of order n/2, n/4, ... (see
+    the module docstring).  An exactly symmetric input (every matrix of a
+    stack bit-equal to its transpose) is solved by the symmetric driver:
+    real eigenvalues in ascending order, per block where it splits.  Any
+    other input takes the same Hessenberg-plus-QR solve as full_spectrum,
+    run for the eigenvalues only: complex eigenvalues come out in exact
+    conjugate pairs.  No residual is computed.  A (k, n, n) stack gives a
+    (k, n) array, one row per matrix.  A split matrix's row holds the
+    eigenvalues of the deepest first block, then those of the second
+    blocks from the deepest outward: its first n/2 entries are still the
+    eigenvalues of A + B J, and its last n/2 those of A - B J.
     """
-    m, _, values = _solve(a, _eigvals)
-    return values.reshape(m.shape[:-1])
+    m, parts = _solve(a, _eigvals)
+    return _rows(m, parts, lambda values: values)
 
 
 def full_spectrum(a) -> OracleSpectrum:
@@ -168,19 +223,29 @@ def full_spectrum(a) -> OracleSpectrum:
     The input is split and routed as in eigenvalues(): an exactly
     symmetric input is solved by the symmetric driver (np.linalg.eigh),
     any other by the dense general eigensolver (Hessenberg reduction
-    followed by implicitly shifted QR).  The residual reported is the
-    largest relative eigenpair defect max_i |A v_i - lam_i v_i| / ||A||_F
-    over the matrices solved (the halves, where the input splits).  A
-    (k, n, n) stack gives (k, n) eigenvalues, one row per matrix, and the
-    largest of the residuals.
+    followed by implicitly shifted QR), down the same chain of blocks and
+    with the same row layout.  The residual reported is the largest
+    relative eigenpair defect max_i |A v_i - lam_i v_i| / ||A||_F over the
+    matrices solved (the blocks, where the input splits, each against its
+    own norm).  A (k, n, n) stack gives (k, n) eigenvalues, one row per
+    matrix, and the largest of the residuals.
     """
-    m, solved, (values, vectors) = _solve(a, _eig)
-    # The whole solved stack in one pass, in real arithmetic: complex
-    # vectors and defects are handled as their real views, whose columns
-    # alternate real and imaginary parts.  Working in place keeps the
-    # product the pass's one temporary the size of the vectors.
+    m, parts = _solve(a, _eig)
+    residual = max(_residual(block, *result) for _, solved in parts
+                   for block, result in solved)
+    values = _rows(m, parts, lambda result: result[0])
+    return OracleSpectrum(eigenvalues=values, residual=residual)
+
+
+def _residual(m: np.ndarray, values: np.ndarray, vectors: np.ndarray) -> float:
+    """The largest relative eigenpair defect |A v - lam v| / ||A||_F of the
+    matrix or stack m, solved as (values, vectors)."""
+    # The whole stack in one pass, in real arithmetic: complex vectors and
+    # defects are handled as their real views, whose columns alternate real
+    # and imaginary parts.  Working in place keeps the product the pass's
+    # one temporary the size of the vectors.
     vectors = np.ascontiguousarray(vectors)
-    defect = (solved @ vectors.view(float)).view(vectors.dtype)
+    defect = (m @ vectors.view(float)).view(vectors.dtype)
     vectors *= values[..., None, :]
     defect -= vectors
     del vectors
@@ -188,10 +253,8 @@ def full_spectrum(a) -> OracleSpectrum:
     np.square(parts, out=parts)
     # Each column's sum of its entries' squared real and imaginary parts.
     norms = np.sqrt(parts.reshape(defect.shape + (-1,)).sum(axis=(-3, -1)))
-    scale = np.maximum(np.linalg.norm(solved, axis=(-2, -1)), 1e-300)
-    residuals = norms.max(axis=-1) / scale
-    return OracleSpectrum(eigenvalues=values.reshape(m.shape[:-1]),
-                          residual=float(residuals.max()))
+    scale = np.maximum(np.linalg.norm(m, axis=(-2, -1)), 1e-300)
+    return float((norms.max(axis=-1) / scale).max())
 
 
 def enumerate_failure_expectation(n: int, p):
@@ -256,10 +319,18 @@ def reflection_halves(a) -> np.ndarray:
     input's order, not to the halves'.
     """
     m = _as_matrices(a)
-    n = m.shape[-1]
-    if n % 2 or not np.array_equal(m, m[..., ::-1, ::-1]):
-        return m
-    h = n // 2
+    return _halves(m) if _splits(m) else m
+
+
+def _splits(m: np.ndarray) -> bool:
+    """Whether m (every matrix of a stack) has even order and is bit-equal
+    to its 180-degree rotation."""
+    return m.shape[-1] % 2 == 0 and np.array_equal(m, m[..., ::-1, ::-1])
+
+
+def _halves(m: np.ndarray) -> np.ndarray:
+    """reflection_halves of m, which splits."""
+    h = m.shape[-1] // 2
     top, bj = m[..., :h, :h], m[..., :h, h:][..., ::-1]
     return np.stack([top + bj, top - bj], axis=-3).reshape(-1, h, h)
 

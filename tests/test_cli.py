@@ -2,7 +2,10 @@
 
 Proves:
   1. Every command emits the documented CSV schema (or valid JSON) and the
-     same invocation produces byte-identical output, seeds included.
+     same invocation produces byte-identical output, seeds included.  CSV
+     written a whole column at a time is the bytes of formatting one cell
+     at a time, on every reproduce target, a 2000-row spectrum and report
+     rows with empty, bool and mixed cells.
   2. The reproduce targets regenerate the reference tables: the tuned-rate
      table rows, the flagged large-n reference rows, and the figure data
      series have the right shapes and anchor values; fig7 rows are
@@ -107,6 +110,57 @@ def test_json_output_is_valid_and_rounded(capsys):
     for value in payload[0].values():
         if isinstance(value, float):
             assert float(format(value, ".10g")) == value
+
+
+def per_cell_csv(rows, fields):
+    """write_rows' CSV text as first written: _fmt_cell of one cell at a
+    time, row by row."""
+    lines = [",".join(fields)]
+    lines += [",".join(cli._fmt_cell(row[f]) for f in fields) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def written_csv(capsys, rows, fields):
+    cli.write_rows(rows, fields, None, "csv")
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("target", sorted(cli.REPRODUCE_TARGETS))
+def test_csv_columns_are_the_bytes_of_per_cell_reproduce_rows(capsys, target):
+    fields, rows = cli.REPRODUCE_TARGETS[target]()
+    assert written_csv(capsys, rows, fields) == per_cell_csv(rows, fields)
+
+
+def test_csv_columns_are_the_bytes_of_per_cell_spectrum_rows(monkeypatch,
+                                                              capsys):
+    written = []
+    monkeypatch.setattr(cli, "write_rows",
+                        lambda rows, fields, out, fmt: written.append(
+                            (rows, fields)))
+    assert main(["spectrum", "--n", "2000", "--w", "0.3"]) == 0
+    monkeypatch.undo()
+    ((rows, fields),) = written
+    assert len(rows) == 2000
+    assert written_csv(capsys, rows, fields) == per_cell_csv(rows, fields)
+
+
+def test_csv_columns_are_the_bytes_of_per_cell_mixed_cells(capsys):
+    # Report rows with empty cells (no p, no empirical rate, no numeric
+    # rate above NUMERIC_RATE_MAX_N), then cells of every kind in one
+    # column: bools, None, ints, strings, numpy floats and odd floats.
+    rows = [cli._report_row(8, 0.8), cli._report_row(9, p=0.3),
+            cli._report_row(cli.NUMERIC_RATE_MAX_N + 1, 0.3),
+            cli._report_row(6, 0.5, 0.1, 0.25)]
+    odd = [True, False, None, 7, "x", np.float64(0.1), -0.0, 1e-300,
+           float("nan"), float("inf"), 1 / 3]
+    rows += [dict.fromkeys(REPORT_FIELDS, value) for value in odd]
+    rows += [{f: odd[(i + k) % len(odd)] for k, f in enumerate(REPORT_FIELDS)}
+             for i in range(len(odd))]
+    text = written_csv(capsys, rows, REPORT_FIELDS)
+    assert text == per_cell_csv(rows, REPORT_FIELDS)
+    assert ",true," in text and ",," in text
+    assert written_csv(capsys, [], REPORT_FIELDS) == per_cell_csv(
+        [], REPORT_FIELDS)
 
 
 # --- sweeps and grids --------------------------------------------------------------

@@ -52,8 +52,8 @@ Proves:
  10. The reflection split, inside both solvers: at even n the period
      matrix is bit-equal to its 180-degree rotation, and the eigenvalues
      of its two half-order blocks together lie within 1e-13 of the whole
-     matrix's general solve; spectral_gap_numeric and a stack solve them
-     in one call of (2k, n/2, n/2); odd n, an even-order input one ulp off
+     matrix's general solve; below n = 2 SPLIT_FLOOR spectral_gap_numeric
+     and a stack solve them in one call of (2k, n/2, n/2); odd n, an even-order input one ulp off
      its rotation, or a stack that mixes the two, is solved whole, with
      the bits of the whole matrix's np.linalg.eigvals; symmetric input
      gives bit-symmetric halves that reach the symmetric driver;
@@ -70,6 +70,18 @@ Proves:
      above 1/2, gives W(w) itself.  A bad weight anywhere in the input is
      rejected before anything is built, and an order below 3 on either
      side of 1/2.
+ 12. The recursive split: at every even n from 128 to 600 and at 1000,
+     1024 and 2000, for weights whose first halves are their own rotations
+     (0.55, 0.7, 0.8, 0.95 and, below 1/2, 0.45) the solves are the block
+     chain (n/2, n/2), (n/4, n/4), ..., then (2, b, b), b below SPLIT_FLOOR
+     or odd, and for 0.3, whose first half is not, the single (2, n/2,
+     n/2) stack; the row's first half pairs with the single split's A + B J
+     eigenvalues within 1e-12 and its second half is the bits of A - B J's.
+     Below n = 2 SPLIT_FLOOR nothing splits past the halves.  At w = 0.85
+     the first half is one ulp off its rotation and both solvers keep the
+     single split with its bits; a stack mixing 0.8 and 0.85 at n = 256
+     gives each row the bits of its own one-matrix call; and the residual
+     over the blocks stays below 1e-13.
 """
 import hashlib
 import math
@@ -77,7 +89,7 @@ import math
 import numpy as np
 import pytest
 
-from latticegossip import cli, matrices
+from latticegossip import cli, matrices, oracle
 from latticegossip.matrices import (expected_failure_matrix, optimal_schedule,
                                     pair_update_matrix, primitive_gossip_matrix)
 from latticegossip.oracle import (MAX_SPECTRUM_ORDER, determinant_shifted,
@@ -788,9 +800,12 @@ def record_solves(monkeypatch, names=("eigvalsh", "eigvals")):
 
 @pytest.mark.parametrize("n", [4, 6, 12, 60, 128])
 def test_gap_solves_one_half_order_stack_at_even_n(monkeypatch, n):
+    # Below twice SPLIT_FLOOR the halves are solved as they are; at n = 128
+    # the first half, of order 64, splits once more.
     calls = record_solves(monkeypatch)
     spectral_gap_numeric(primitive_gossip_matrix(n, 0.8))
-    assert calls == [("eigvals", (2, n // 2, n // 2))]
+    assert calls == ([("eigvals", (2, n // 2, n // 2))] if n < 128 else
+                     [("eigvals", (64, 64)), ("eigvals", (2, 32, 32))])
 
 
 @pytest.mark.parametrize("n", [3, 5, 9, 33, 61])
@@ -873,3 +888,116 @@ def test_order_cap_is_on_the_callers_order(monkeypatch):
                   reflection_halves):
         with pytest.raises(ValueError, match="exceeds"):
             entry(big)
+
+
+# --- recursive split of the first half -----------------------------------------------
+
+# W(w)'s first half is its own rotation at every n = 0 (mod 4) of this test
+# at these weights, and so is every first half after it: the solve goes down
+# the whole chain.  At 0.3 (below 1/2, the symmetric matrix) the first half
+# is off its rotation, so it keeps the single split.
+DEEP_WEIGHTS = [0.55, 0.7, 0.8, 0.95, 0.45]
+SHALLOW_WEIGHTS = [0.3]
+
+
+def block_chain(n):
+    """The shapes solved, in turn, for a matrix of even order n that splits
+    as deep as SPLIT_FLOOR lets it: the second half of every split but the
+    last, largest first, then both blocks of the deepest split as one
+    stack."""
+    h, outer = n // 2, []
+    while h % 2 == 0 and h >= oracle.SPLIT_FLOOR:
+        outer.append((h, h))
+        h //= 2
+    return outer + [(2, h, h)]
+
+
+def single_split(m):
+    """numpy's solve of m's two reflection halves as one stack: the
+    solvers' answer before the first half was split again."""
+    halves = reflection_halves(m)
+    solve = (np.linalg.eigvalsh if np.array_equal(m, m.T)
+             else np.linalg.eigvals)
+    return solve(halves)
+
+
+@pytest.mark.parametrize("ns", [range(lo, min(lo + 96, 601), 2)
+                                for lo in range(128, 601, 96)]
+                         + [[1000, 1024, 2000]],
+                         ids=lambda ns: f"{ns[0]}-{ns[-1]}")
+def test_recursive_split_pairs_with_the_single_split(monkeypatch, ns):
+    for n in ns:
+        for w in DEEP_WEIGHTS + SHALLOW_WEIGHTS:
+            m = isospectral_matrix(n, w)
+            first, second = single_split(m)
+            calls = record_solves(monkeypatch)
+            values = eigenvalues(m)
+            monkeypatch.undo()
+            driver = "eigvalsh" if w <= 0.5 else "eigvals"
+            chain = block_chain(n) if w in DEEP_WEIGHTS else [(2, n // 2,
+                                                               n // 2)]
+            assert calls == [(driver, shape) for shape in chain], (n, w)
+            # A + B J's eigenvalues, then A - B J's, which are solved alone
+            # at the top and keep their bits.
+            assert spectrum_match_distance(values[:n // 2], first) <= 1e-12, \
+                (n, w)
+            assert np.array_equal(values[n // 2:], second), (n, w)
+
+
+def test_below_twice_the_floor_the_halves_are_not_split_again(monkeypatch):
+    for n in range(4, 2 * oracle.SPLIT_FLOOR, 2):
+        m = primitive_gossip_matrix(n, 0.8)
+        calls = record_solves(monkeypatch)
+        values = eigenvalues(m)
+        monkeypatch.undo()
+        assert calls == [("eigvals", (2, n // 2, n // 2))], n
+        assert np.array_equal(values, single_split(m).reshape(-1)), n
+
+
+@pytest.mark.parametrize("n", [128, 256, 512, 1024])
+def test_one_ulp_off_first_half_keeps_the_single_split(monkeypatch, n):
+    m = primitive_gossip_matrix(n, 0.85)
+    first = reflection_halves(m)[0]
+    rotated = first[::-1, ::-1]
+    assert not np.array_equal(first, rotated)
+    assert within_ulps(first, rotated, ulps=1)
+    calls = record_solves(monkeypatch, ("eigvals", "eig"))
+    values = eigenvalues(m)
+    full = full_spectrum(m).eigenvalues
+    monkeypatch.undo()
+    assert calls == [("eigvals", (2, n // 2, n // 2)),
+                     ("eig", (2, n // 2, n // 2))]
+    halves = reflection_halves(m)
+    assert np.array_equal(values, np.linalg.eigvals(halves).reshape(-1))
+    assert np.array_equal(full, np.linalg.eig(halves)[0].reshape(-1))
+
+
+@pytest.mark.parametrize("entry", [eigenvalues,
+                                   lambda a: full_spectrum(a).eigenvalues],
+                         ids=["eigenvalues", "full_spectrum"])
+def test_mixed_depth_stack_rows_are_the_bits_of_one_matrix_calls(monkeypatch,
+                                                                 entry):
+    # 0.8 splits down to the floor, 0.85 only once: each matrix of the
+    # stack is solved on its own.
+    n, ws = 256, [0.8, 0.85, 0.8]
+    stack = primitive_gossip_matrix(n, np.array(ws))
+    calls = record_solves(monkeypatch, ("eigvals", "eig"))
+    rows = entry(stack)
+    shapes = [shape for _, shape in calls]
+    monkeypatch.undo()
+    deep, shallow = block_chain(n), [(2, n // 2, n // 2)]
+    assert shapes == deep + shallow + deep
+    assert rows.shape == (len(ws), n)
+    for w, row in zip(ws, rows):
+        assert np.array_equal(row, entry(primitive_gossip_matrix(n, w))), w
+
+
+@pytest.mark.parametrize("n", [128, 224, 320, 512])
+def test_residual_over_the_blocks_stays_below_1e_13(n):
+    for w in DEEP_WEIGHTS + SHALLOW_WEIGHTS + [0.85]:
+        spectrum = full_spectrum(isospectral_matrix(n, w))
+        assert spectrum.residual < 1e-13, (n, w)
+        assert spectrum_match_distance(
+            spectrum.eigenvalues,
+            single_split(isospectral_matrix(n, w)).reshape(-1)) <= 1e-12, \
+            (n, w)
