@@ -148,6 +148,18 @@ def _parse_grid(text: str) -> list[float]:
     return values
 
 
+def _parse_seed(text: str) -> int:
+    """A nonnegative integer, as numpy's seed sequences take."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {seed}")
+    return seed
+
+
 def _resolve_ns(args) -> list[int]:
     if args.n_range:
         return args.n_range
@@ -482,7 +494,8 @@ _FLAGS = {
     "--p": dict(type=float, help="link failure probability in [0,1]"),
     "--p-grid": dict(type=_parse_grid, metavar="A:B:STEP",
                      help="inclusive failure-probability grid"),
-    "--seed": dict(type=int, default=0, help="base RNG seed (default 0)"),
+    "--seed": dict(type=_parse_seed, default=0,
+                   help="base RNG seed (default 0)"),
     "--trials": dict(type=int, default=1,
                      help="Monte Carlo trials (default 1)"),
     "--max-periods": dict(type=int, default=200,

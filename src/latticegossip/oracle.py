@@ -22,8 +22,9 @@ Both solvers also take a (k, n, n) stack of matrices, and
 determinant_shifted takes an array of shifts; either way the whole batch is
 one LAPACK call that runs the same routine on each matrix (below the
 recursive split's orders, see below), so every entry has the bits of its
-own one-matrix call.  full_spectrum takes the residual of each solved
-block or stack in one matmul-and-norm pass.
+own one-matrix call.  full_spectrum takes the residual of each block or
+stack in one matmul-and-norm pass as soon as it is solved, so no block's
+eigenvectors outlive its solve.
 enumerate_failure_expectation takes an array of failure probabilities: it
 builds the 2^(n-1) failure-pattern products once and weights and sums them
 for each p, every entry with the bits of its own one-p call.
@@ -39,9 +40,16 @@ matrix is often bit-equal to its own rotation too (the symmetric modes
 live on the n/2-node path folded at its middle edge, whose two ends look
 alike), so the solvers split it again by the same test, and its first
 block after that, while that block has even order of at least
-SPLIT_FLOOR: W(0.8) at n = 512 is solved as blocks of order 32, 32, 64,
-128 and 256, about 0.57 of the flops of the two halves.  Below
-n = 2 SPLIT_FLOOR nothing splits past the halves.  A stack of even order
+SPLIT_FLOOR: W(0.8) at n = 512 is solved as blocks of order 256, 128
+and 64 and a (2, 32, 32) stack, about 0.57 of the flops of the two
+halves.  Below n = 2 SPLIT_FLOOR nothing splits past the halves.  The
+blocks are solved in that order: the second half A - B J of each split
+from the top down, each before the next split is built, so the largest
+solve runs first, then the last split's two blocks as one (2, h, h)
+stack.  A matrix's row of eigenvalues lists them in the reverse order:
+the last split's first block, its second, then the second halves from
+the deepest outward, so the row's first n/2 entries are the eigenvalues
+of A + B J and its last n/2 those of A - B J.  A stack of even order
 n >= 2 SPLIT_FLOOR is solved matrix by matrix, each as deep as it splits;
 any other stack splits into its halves only if every matrix in it does,
 and is otherwise solved whole, as is any other input.  The split is plain
@@ -78,7 +86,7 @@ from . import matrices
 MAX_SPECTRUM_ORDER = 2000
 
 # Smallest order of a first reflection half that the solvers split again
-# (see _solve_blocks).  On general W(w) at n = 128..256, floors of 16, 32
+# (see _blocks).  On general W(w) at n = 128..256, floors of 16, 32
 # and 64 took the same time within 1%, and 128 took a third more at
 # n = 224 and 320; 64 keeps the bits of every n below 128.
 SPLIT_FLOOR = 64
@@ -127,37 +135,38 @@ def _as_matrices(a) -> np.ndarray:
     return m
 
 
-def _solve_blocks(m: np.ndarray, solver) -> list:
-    """(block, solver(block)) for each block solved in place of m, a
-    matrix or a stack below order 2 SPLIT_FLOOR: m's reflection_halves,
-    except that while a matrix's first half has order SPLIT_FLOOR or more
-    and splits, that half's halves stand in for it.  The deepest first
-    block comes first, then the second halves from the deepest outward;
-    two halves that are not split again stay one (2, h, h) stack.  Each
-    second half is solved before its first half is split, so the largest
-    solve runs before any deeper block is built."""
+def _blocks(m: np.ndarray):
+    """The blocks of m, a matrix or a stack below order 2 SPLIT_FLOOR, in
+    solve order (see the module docstring); m itself if it does not split.
+    Each block is yielded before the next split is built."""
     if not _splits(m):
-        return [(m, solver(m))]
+        yield m
+        return
     halves = _halves(m)
-    outer = []
     while halves.shape[-1] >= SPLIT_FLOOR and _splits(halves[0]):
-        outer.append((halves[1], solver(halves[1])))
+        yield halves[1]
         halves = _halves(halves[0])
-    return [(halves, solver(halves))] + outer[::-1]
+    yield halves
 
 
 def _solve(a, solver):
-    """(m, parts): a as m (see _as_matrices), cut into parts solved on
-    their own, each given as (part, its _solve_blocks).  A stack of an
-    even order that could split past its halves has a part per matrix,
-    since each matrix splits as deep as it splits; any other input is one
-    part.  A convergence failure names m by a sha256 prefix."""
+    """The eigenvalues of a, as m (see _as_matrices), in the shape of m
+    less its last axis, and the list of extras, from solver(block) =
+    (eigenvalues, extra) on each block.  A stack of an even order that
+    could split past its halves is solved matrix by matrix.  A convergence
+    failure names m by a sha256 prefix."""
     m = _as_matrices(a)
     n = m.shape[-1]
     whole = m.ndim == 2 or n % 2 or n // 2 < SPLIT_FLOOR
+    rows, extras = [], []
     try:
-        parts = [(part, _solve_blocks(part, solver))
-                 for part in ([m] if whole else m)]
+        for part in [m] if whole else m:
+            row = []
+            for block in _blocks(part):
+                values, extra = solver(block)
+                row.append(values.reshape(part.shape[:-2] + (-1,)))
+                extras.append(extra)
+            rows.append(np.concatenate(row[::-1], axis=-1))
     except np.linalg.LinAlgError as exc:
         import hashlib  # only on this path: keeps package import fast
         digest = hashlib.sha256(m.tobytes()).hexdigest()[:16]
@@ -165,17 +174,7 @@ def _solve(a, solver):
                 else f"{n}x{n} matrix")
         raise RuntimeError(f"eigensolver failed to converge on the {what} "
                            f"(sha256 {digest})") from exc
-    return m, parts
-
-
-def _rows(m: np.ndarray, parts, values) -> np.ndarray:
-    """The eigenvalues of m, values(result) of each block's solve: each
-    part's blocks side by side, a row per matrix, in the shape of m less
-    its last axis."""
-    rows = [np.concatenate([values(result).reshape(part.shape[:-2] + (-1,))
-                            for _, result in solved], axis=-1)
-            for part, solved in parts]
-    return np.concatenate(rows).reshape(m.shape[:-1])
+    return np.concatenate(rows).reshape(m.shape[:-1]), extras
 
 
 def _symmetric(m: np.ndarray) -> bool:
@@ -183,58 +182,51 @@ def _symmetric(m: np.ndarray) -> bool:
     return np.array_equal(m, m.swapaxes(-1, -2))
 
 
-def _eigvals(m: np.ndarray) -> np.ndarray:
+def _eigvals(m: np.ndarray):
     if _symmetric(m):
-        return np.linalg.eigvalsh(m)
-    return np.linalg.eigvals(m)
+        return np.linalg.eigvalsh(m), None
+    return np.linalg.eigvals(m), None
 
 
 def _eig(m: np.ndarray):
-    if _symmetric(m):
-        return np.linalg.eigh(m)
-    return np.linalg.eig(m)
+    """m's eigenvalues and _residual: its eigenvectors go with this call."""
+    solve = np.linalg.eigh if _symmetric(m) else np.linalg.eig
+    values, vectors = solve(m)
+    return values, _residual(m, values, vectors)
 
 
 def eigenvalues(a) -> np.ndarray:
     """All eigenvalues of a real square matrix, without eigenvectors.
 
-    The input is solved as its reflection_halves, and a first half of
-    order SPLIT_FLOOR or more that is bit-equal to its own rotation as its
-    halves in turn, down the chain of blocks of order n/2, n/4, ... (see
-    the module docstring).  An exactly symmetric input (every matrix of a
-    stack bit-equal to its transpose) is solved by the symmetric driver:
-    real eigenvalues in ascending order, per block where it splits.  Any
-    other input takes the same Hessenberg-plus-QR solve as full_spectrum,
-    run for the eigenvalues only: complex eigenvalues come out in exact
-    conjugate pairs.  No residual is computed.  A (k, n, n) stack gives a
-    (k, n) array, one row per matrix.  A split matrix's row holds the
-    eigenvalues of the deepest first block, then those of the second
-    blocks from the deepest outward: its first n/2 entries are still the
-    eigenvalues of A + B J, and its last n/2 those of A - B J.
+    An exactly symmetric input (every matrix of a stack bit-equal to its
+    transpose) is solved by the symmetric driver: real eigenvalues in
+    ascending order, per block where it splits.  Any other input takes the
+    same Hessenberg-plus-QR solve as full_spectrum, run for the eigenvalues
+    only: complex eigenvalues come out in exact conjugate pairs.  No
+    residual is computed.  A (k, n, n) stack gives a (k, n) array, one row
+    per matrix.  Where the input splits, a row holds its blocks'
+    eigenvalues in the layout the module docstring gives: its first n/2
+    entries are the eigenvalues of A + B J, its last n/2 those of A - B J.
     """
-    m, parts = _solve(a, _eigvals)
-    return _rows(m, parts, lambda values: values)
+    return _solve(a, _eigvals)[0]
 
 
 def full_spectrum(a) -> OracleSpectrum:
     """All eigenvalues of a real square matrix, with their eigenvectors'
     residual.
 
-    The input is split and routed as in eigenvalues(): an exactly
-    symmetric input is solved by the symmetric driver (np.linalg.eigh),
-    any other by the dense general eigensolver (Hessenberg reduction
-    followed by implicitly shifted QR), down the same chain of blocks and
-    with the same row layout.  The residual reported is the largest
-    relative eigenpair defect max_i |A v_i - lam_i v_i| / ||A||_F over the
-    matrices solved (the blocks, where the input splits, each against its
-    own norm).  A (k, n, n) stack gives (k, n) eigenvalues, one row per
-    matrix, and the largest of the residuals.
+    The input is split, routed and laid out as in eigenvalues(): an
+    exactly symmetric input is solved by the symmetric driver
+    (np.linalg.eigh), any other by the dense general eigensolver
+    (Hessenberg reduction followed by implicitly shifted QR).  The residual
+    reported is the largest relative eigenpair defect
+    max_i |A v_i - lam_i v_i| / ||A||_F over the matrices solved (the
+    blocks, where the input splits, each against its own norm).  A
+    (k, n, n) stack gives (k, n) eigenvalues, one row per matrix, and the
+    largest of the residuals.
     """
-    m, parts = _solve(a, _eig)
-    residual = max(_residual(block, *result) for _, solved in parts
-                   for block, result in solved)
-    values = _rows(m, parts, lambda result: result[0])
-    return OracleSpectrum(eigenvalues=values, residual=residual)
+    values, residuals = _solve(a, _eig)
+    return OracleSpectrum(eigenvalues=values, residual=max(residuals))
 
 
 def _residual(m: np.ndarray, values: np.ndarray, vectors: np.ndarray) -> float:
@@ -311,7 +303,9 @@ def enumerate_failure_expectation(n: int, p):
 def reflection_halves(a) -> np.ndarray:
     """The (2, n/2, n/2) stack [A + B J, A - B J] of a matrix of even order
     n that is bit-equal to its 180-degree rotation, whose eigenvalues
-    together are those of the matrix; any other input unchanged.
+    together are those of the matrix; any other input unchanged.  This is
+    the first split of the solvers' block chain (see the module
+    docstring).
 
     A (k, n, n) stack splits into (2k, n/2, n/2), each matrix's two halves
     in turn, if every matrix in it splits.  A bit-symmetric input gives

@@ -12,7 +12,9 @@ Proves:
      rate_link_failure's rates from one rate_weighted call each.
   3. verify runs its suites and reports PASS with exit code 0 on the
      shipped implementation, the simulator suite simulates even below
-     n_max = 4, and argument validation fails loudly.
+     n_max = 4, and argument validation fails loudly: a negative --seed
+     is a usage error (exit code 2) for verify and simulate before any
+     suite or simulation runs.
   4. The report commands and spectrum read eigenvalues only: they run with
      the eigenpair solver disabled.  Rows and spectra at w <= 1/2 (every
      link-failure row among them) run with the general solver disabled,
@@ -595,6 +597,27 @@ def test_flag_the_command_does_not_read_is_a_usage_error(argv):
     with pytest.raises(SystemExit) as info:
         main(argv.split())
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    "verify --n-max 5 --seed -1",
+    "verify --scope charpoly --n-max 5 --seed -1",
+    "verify --scope simulator --n-max 5 --seed -1",
+    "simulate --n 8 --seed -1",
+])
+def test_negative_seed_is_a_usage_error_before_any_work(monkeypatch, capsys,
+                                                        argv):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("work started before --seed was checked")
+
+    for name, (_, tol, label) in cli.VERIFY_SUITES.items():
+        monkeypatch.setitem(cli.VERIFY_SUITES, name,
+                            (must_not_run, tol, label))
+    monkeypatch.setattr(cli.sim, "monte_carlo_rate", must_not_run)
+    with pytest.raises(SystemExit) as info:
+        main(argv.split())
+    assert info.value.code == 2
+    assert "argument --seed: must be >= 0" in capsys.readouterr().err
 
 
 # --- eigenvalues-only report path ------------------------------------------------------

@@ -26,10 +26,13 @@ Proves:
      [0, 1] or NaN anywhere in it is rejected before any product is built.
   8. A (k, n, n) stack solves to the bits of its one-matrix solves, with
      the largest of their residuals (general stacks and verify's
-     symmetric and general stacks alike), below 1e-13 on verify's weights
+     symmetric and general stacks alike, up to the per-matrix stacks at
+     n = 128 and 256), below 1e-13 on verify's weights
      up to n = 60; an array of shifts gives the bits of
-     its one-shift determinants; a failed stack solve names its sha256
-     digest; the one-matrix entry points still reject a stack.
+     its one-shift determinants; a failed solve names the whole input's
+     sha256 digest, also when it fails inside the recursive chain of a
+     single matrix or in one matrix of a stack solved matrix by matrix;
+     the one-matrix entry points still reject a stack.
   9. For w <= 1/2 isospectral_matrix's S1(h) S2(w) S1(h) = W(h)^T W(h)
      stands in for W(w): it runs the three rounds as two periods through
      matrices.apply_period, h on the odd edges of both with
@@ -409,7 +412,7 @@ def isospectral_stacks(n):
                           [w for w in VERIFY_WEIGHTS if w > 0.5])]
 
 
-@pytest.mark.parametrize("n", [3, 4, 12, 33, 60])
+@pytest.mark.parametrize("n", [3, 4, 12, 33, 60, 128, 256])
 def test_stack_residual_is_the_largest_one_matrix_residual(n):
     for stack in [gossip_stack(n)] + isospectral_stacks(n):
         assert full_spectrum(stack).residual == \
@@ -478,21 +481,43 @@ def test_one_matrix_entry_points_reject_a_stack(entry):
         entry(gossip_stack(4, [0.3, 0.5]))
 
 
-@pytest.mark.parametrize("solver, entry", [
-    ("eig", full_spectrum),
-    ("eigvals", eigenvalues),
+# (input, the message's name for it, the driver call that fails, id
+# suffix).  At n = 256, W(0.8) is solved as blocks 128, 64 and (2, 32, 32),
+# so its second call fails inside the recursive chain; a stack at n = 128
+# is solved matrix by matrix, and its third call is the second matrix's
+# first.
+FAILED_SOLVES = [
+    (gossip_stack(5, [0.3, 0.6, 0.9]), "stack of 3 5x5 matrices", 1, ""),
+    (primitive_gossip_matrix(256, 0.8), "256x256 matrix", 2, "-chain"),
+    (gossip_stack(128, [0.8, 0.8]), "stack of 2 128x128 matrices", 3,
+     "-per-matrix"),
+]
+
+
+@pytest.mark.parametrize("solver, entry, stack, what, fails_at", [
+    pytest.param(solver, entry, stack, what, fails_at,
+                 id=f"{solver}-{entry.__name__}{suffix}")
+    for stack, what, fails_at, suffix in FAILED_SOLVES
+    for solver, entry in [("eig", full_spectrum), ("eigvals", eigenvalues)]
 ])
 def test_failed_stack_solve_names_a_sha256_fingerprint(monkeypatch, solver,
-                                                       entry):
-    def fail(_):
-        raise np.linalg.LinAlgError("no convergence")
+                                                       entry, stack, what,
+                                                       fails_at):
+    solve = getattr(np.linalg, solver)
+    calls = []
+
+    def fail(m):
+        calls.append(m.shape)
+        if len(calls) == fails_at:
+            raise np.linalg.LinAlgError("no convergence")
+        return solve(m)
 
     monkeypatch.setattr(np.linalg, solver, fail)
-    stack = gossip_stack(5, [0.3, 0.6, 0.9])
     with pytest.raises(RuntimeError) as info:
         entry(stack)
+    assert len(calls) == fails_at
     assert hashlib.sha256(stack.tobytes()).hexdigest()[:16] in str(info.value)
-    assert "stack of 3 5x5 matrices" in str(info.value)
+    assert what in str(info.value)
 
 
 # --- symmetric oracle matrix for w <= 1/2 --------------------------------------------
