@@ -12,7 +12,8 @@ from .matrices import (GossipPair, ScheduleSpec, expected_failure_matrix,
                        primitive_gossip_matrix)
 from .oracle import (OracleSpectrum, determinant_shifted, eigenvalues,
                      enumerate_failure_expectation, full_spectrum,
-                     spectral_gap_numeric, spectrum_match_distance)
+                     plane_eigenvalues, spectral_gap_numeric,
+                     spectrum_match_distance)
 from .pentadiag import (PentaParams, analytic_eigenvalues, charpoly_bb,
                         charpoly_bb_bd, charpoly_bd_bd, link_failure_params,
                         penta_matrix, second_largest_modulus,
@@ -28,8 +29,8 @@ __all__ = [
     "GossipPair", "ScheduleSpec", "expected_failure_matrix",
     "optimal_schedule", "pair_update_matrix", "primitive_gossip_matrix",
     "OracleSpectrum", "determinant_shifted", "eigenvalues",
-    "enumerate_failure_expectation", "full_spectrum", "spectral_gap_numeric",
-    "spectrum_match_distance",
+    "enumerate_failure_expectation", "full_spectrum", "plane_eigenvalues",
+    "spectral_gap_numeric", "spectrum_match_distance",
     "PentaParams", "analytic_eigenvalues", "charpoly_bb", "charpoly_bb_bd",
     "charpoly_bd_bd", "link_failure_params", "penta_matrix",
     "second_largest_modulus", "weighted_gossip_params",

@@ -21,7 +21,7 @@ REPORT_FIELDS = ("n", "w", "p", "analytic_rate", "numeric_rate",
                  "empirical_rate", "lambda2_modulus", "regime")
 
 # Largest order for which sweep/rate commands attach the numeric
-# cross-check column (one eigenvalues-only solve per row).
+# cross-check column (one oracle.plane_eigenvalues call per row).
 NUMERIC_RATE_MAX_N = 512
 
 # Most points a --*-range or --*-grid argument may expand to, and most rows
@@ -188,10 +188,16 @@ def _resolve_grid(args, name: str, default: list[float]) -> list[float]:
 # --- report rows -----------------------------------------------------------
 
 
+def _expected_weight(p: float, w: float = 0.5) -> float:
+    """The weight of the expected one-period matrix at gossip weight w and
+    link failure probability p: weighted gossip at (1-p)*w."""
+    return (1.0 - p) * w
+
+
 def _numeric_rate(n: int, w: float) -> float | None:
     if n > NUMERIC_RATE_MAX_N:
         return None
-    return oracle.spectral_gap_numeric(oracle.isospectral_matrix(n, w))
+    return oracle._gap(oracle.plane_eigenvalues(n, w))
 
 
 def _report_row(n: int, w: float | None = None, p: float | None = None,
@@ -202,7 +208,8 @@ def _report_row(n: int, w: float | None = None, p: float | None = None,
     (1-p)*w."""
     row = dict.fromkeys(REPORT_FIELDS)
     row.update(n=n, w=w, p=p, empirical_rate=empirical)
-    expected_w = (1.0 - (0.0 if p is None else p)) * (0.5 if w is None else w)
+    expected_w = _expected_weight(0.0 if p is None else p,
+                                  0.5 if w is None else w)
     r = rates.rate_weighted(n, expected_w)
     row.update(analytic_rate=r.rate, numeric_rate=_numeric_rate(n, expected_w),
                lambda2_modulus=r.lambda2_modulus, regime=r.regime)
@@ -259,7 +266,7 @@ def cmd_simulate(args) -> int:
         if config.n < 3:
             raise ValueError(f"need n >= 3, got n={config.n}")
         mc = sim.monte_carlo_rate(config, args.trials)
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, MemoryError) as exc:
         raise SystemExit(f"error: {exc}") from None
     write_rows([_report_row(config.n, w, p, mc.mean)], REPORT_FIELDS,
                args.out, args.format)
@@ -280,11 +287,10 @@ def cmd_spectrum(args) -> int:
                          f"{oracle.MAX_SPECTRUM_ORDER}, got n={n}")
     kind = "w" if args.p is None else "p"
     (value,) = _resolve_grid(args, kind, [0.5])
-    w = value if kind == "w" else (1.0 - value) * 0.5
+    w = value if kind == "w" else _expected_weight(value)
     analytic = pentadiag.analytic_eigenvalues(
         pentadiag.weighted_gossip_params(n, w))
-    numeric = oracle.eigenvalues(
-        oracle.isospectral_matrix(n, w)).astype(complex)
+    numeric = oracle.plane_eigenvalues(n, w).astype(complex)
 
     order = np.lexsort((analytic.imag, analytic.real, -np.abs(analytic)))
     analytic = analytic[order]
@@ -309,14 +315,15 @@ def _suite_spectra(n_max: int, seed: int) -> float:
     # The w-grid plus the link-failure weights (1-p)*w at w = 1/2, each
     # solved once.
     weights = sorted(set(_parse_grid("0.05:0.95:0.05"))
-                     | {(1.0 - p) * 0.5 for p in _parse_grid("0:0.9:0.1")})
+                     | {_expected_weight(p)
+                        for p in _parse_grid("0:0.9:0.1")})
     groups = ([w for w in weights if w <= 0.5],
               [w for w in weights if w > 0.5])
     worst = 0.0
     for n in range(3, n_max + 1):
-        # The matrices the report path solves, oracle.isospectral_matrix.  A
-        # group (the weights on one side of 1/2, where that matrix switches)
-        # is solved in stacks of at most SPECTRA_STACK_BYTES.
+        # The dense reference, oracle.isospectral_matrix.  A group (the
+        # weights on one side of 1/2, where that matrix switches) is solved
+        # in stacks of at most SPECTRA_STACK_BYTES.
         per_stack = max(1, SPECTRA_STACK_BYTES // (8 * n * n))
         for group in groups:
             for i in range(0, len(group), per_stack):
@@ -454,7 +461,7 @@ def _rows_fig7() -> tuple[tuple[str, ...], list[dict]]:
     # Link failure is weighted gossip at w = (1-p)/2: rate_link_failure's
     # rate, with one rates call a row.
     rows = [{"n": n, "p": p,
-             "rate": rates.rate_weighted(n, (1.0 - p) / 2.0).rate}
+             "rate": rates.rate_weighted(n, _expected_weight(p)).rate}
             for n in (5, 10, 15, 20) for p in _parse_grid("0:1:0.05")]
     return fields, rows
 

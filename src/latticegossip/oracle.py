@@ -9,22 +9,20 @@ Agreement between these engines and the analytic expressions is therefore
 evidence, not tautology.
 
 The solver comes in two strengths.  eigenvalues() solves for the eigenvalues
-alone; the report path (spectral_gap_numeric, the CLI's numeric columns)
-reads nothing else.  full_spectrum() also solves for the eigenvectors and
-returns the eigenpair residual with the eigenvalues.  Both send an input
-exactly equal to its transpose to the symmetric driver (np.linalg.eigvalsh,
-np.linalg.eigh), about an eighth of the general solve's flops, and any
-other input to the general one (np.linalg.eigvals, np.linalg.eig).  All
-share one split, one symmetry test, one order limit and one failure
-fingerprint.
+alone; spectral_gap_numeric and plane_eigenvalues read nothing else.
+full_spectrum() also solves for the eigenvectors and returns the eigenpair
+residual with the eigenvalues.  Both send an input exactly equal to its
+transpose to the symmetric driver (np.linalg.eigvalsh, np.linalg.eigh),
+about an eighth of the general solve's flops, and any other input to the
+general one (np.linalg.eigvals, np.linalg.eig).  All share one split, one
+symmetry test, one order limit and one failure fingerprint.
 
 Both solvers also take a (k, n, n) stack of matrices, and
 determinant_shifted takes an array of shifts; either way the whole batch is
-one LAPACK call that runs the same routine on each matrix (below the
-recursive split's orders, see below), so every entry has the bits of its
-own one-matrix call.  full_spectrum takes the residual of each block or
-stack in one matmul-and-norm pass as soon as it is solved, so no block's
-eigenvectors outlive its solve.
+one LAPACK call that runs the same routine on each matrix, so every entry
+has the bits of its own one-matrix call.  full_spectrum takes the residual
+of the solved block in one matmul-and-norm pass, so no eigenvectors
+outlive the solve.
 enumerate_failure_expectation takes an array of failure probabilities: it
 builds the 2^(n-1) failure-pattern products once and weights and sums them
 for each p, every entry with the bits of its own one-p call.
@@ -34,36 +32,39 @@ bit-equal to its 180-degree rotation J W J (J the reversal) has the block
 form [[A, B], [J B J, J A J]], and the orthogonal
 Q = [[I, I], [J, -J]] / sqrt(2) gives Q^T W Q = diag(A + B J, A - B J).
 reflection_halves() returns those two blocks of order n/2, and the solvers
-solve them in place of W: two general solves of half the order cost about
-a quarter of one.  When 4 divides n, the first block A + B J of a period
-matrix is often bit-equal to its own rotation too (the symmetric modes
-live on the n/2-node path folded at its middle edge, whose two ends look
-alike), so the solvers split it again by the same test, and its first
-block after that, while that block has even order of at least
-SPLIT_FLOOR: W(0.8) at n = 512 is solved as blocks of order 256, 128
-and 64 and a (2, 32, 32) stack, about 0.57 of the flops of the two
-halves.  Below n = 2 SPLIT_FLOOR nothing splits past the halves.  The
-blocks are solved in that order: the second half A - B J of each split
-from the top down, each before the next split is built, so the largest
-solve runs first, then the last split's two blocks as one (2, h, h)
-stack.  A matrix's row of eigenvalues lists them in the reverse order:
-the last split's first block, its second, then the second halves from
-the deepest outward, so the row's first n/2 entries are the eigenvalues
-of A + B J and its last n/2 those of A - B J.  A stack of even order
-n >= 2 SPLIT_FLOOR is solved matrix by matrix, each as deep as it splits;
-any other stack splits into its halves only if every matrix in it does,
-and is otherwise solved whole, as is any other input.  The split is plain
-linear algebra (Cantoni and Butler, Linear Algebra Appl. 13, 1976) and
-uses nothing of the closed forms.
+solve them, as one (2, n/2, n/2) stack, in place of W: two general solves
+of half the order cost about a quarter of one.  A matrix's row of
+eigenvalues lists A + B J's first, then A - B J's.  A stack splits into its
+halves only if every matrix in it does, and is otherwise solved whole, as
+is any other input.  The split is plain linear algebra (Cantoni and
+Butler, Linear Algebra Appl. 13, 1976) and uses nothing of the closed
+forms.
 
-isospectral_matrix(n, w) builds the matrix the CLI solves for W(w), or
-for an array of weights on one side of 1/2 the stack of them.  For
-w <= 1/2 that is S1(h) S2(w) S1(h) = W(h)^T W(h), of bandwidth 3, built in
-O(n) per matrix by the period kernel on seven seed columns, the one build
-of every matrix here: each diagonal is averaged with its mirror across the
-main diagonal and written to both sides, so it is bit-symmetric, and at
-even n each is averaged with its reverse, so it is bit-equal to its
-rotation and splits.
+plane_eigenvalues(n, w) gives W(w)'s eigenvalues without an n x n matrix.
+Each round is S_k = I - 2w P_k, P_k the orthogonal projection onto the
+span of matching k's unit edge vectors (e_i - e_j)/sqrt(2), so W(w) splits
+into invariant planes, one per principal angle between the two spans,
+plus the directions neither span pairs (P. R. Halmos, "Two subspaces",
+Trans. AMS 144, 1969).  The principal cosines s are the square roots of
+the eigenvalues of C C^T, C = U1^T U2 the Gram block of the two
+matchings' edge vectors, which is -1/2 where two edges share a node and 0
+elsewhere; C is bidiagonal, so C C^T is tridiagonal, solved by
+eigenvalues().  In an orthonormal basis of its plane P1 = diag(1, 0) and
+P2 = [[s^2, sc], [sc, c^2]], c = sqrt(1 - s^2), and the (m1, 2, 2) stack
+of (I - 2w P2)(I - 2w P1) is solved by eigenvalues() too.  The consensus
+direction adds 1, and at even n the one edge direction of the second
+matching left unpaired adds 1 - 2w.  Nothing of the closed forms, and no
+cos(k pi / n), enters; the report path's numeric columns (the CLI's
+rate rows and spectrum) come from here.
+
+isospectral_matrix(n, w) builds the matrix verify's spectra suite solves
+for W(w), or for an array of weights on one side of 1/2 the stack of
+them.  For w <= 1/2 that is S1(h) S2(w) S1(h) = W(h)^T W(h), of
+bandwidth 3, built in O(n) per matrix by the period kernel on seven seed
+columns: each diagonal is averaged with its mirror across the main
+diagonal and written to both sides, so it is bit-symmetric, and at even n
+each is averaged with its reverse, so it is bit-equal to its rotation and
+splits.
 
 Closed-form and numeric spectra are compared by a greedy pairing: the
 closest unmatched pair first.  spectrum_pairing pairs two 1-D spectra;
@@ -84,12 +85,6 @@ import numpy as np
 from . import matrices
 
 MAX_SPECTRUM_ORDER = 2000
-
-# Smallest order of a first reflection half that the solvers split again
-# (see _blocks).  On general W(w) at n = 128..256, floors of 16, 32
-# and 64 took the same time within 1%, and 128 took a third more at
-# n = 224 and 320; 64 keeps the bits of every n below 128.
-SPLIT_FLOOR = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,46 +130,24 @@ def _as_matrices(a) -> np.ndarray:
     return m
 
 
-def _blocks(m: np.ndarray):
-    """The blocks of m, a matrix or a stack below order 2 SPLIT_FLOOR, in
-    solve order (see the module docstring); m itself if it does not split.
-    Each block is yielded before the next split is built."""
-    if not _splits(m):
-        yield m
-        return
-    halves = _halves(m)
-    while halves.shape[-1] >= SPLIT_FLOOR and _splits(halves[0]):
-        yield halves[1]
-        halves = _halves(halves[0])
-    yield halves
-
-
 def _solve(a, solver):
     """The eigenvalues of a, as m (see _as_matrices), in the shape of m
-    less its last axis, and the list of extras, from solver(block) =
-    (eigenvalues, extra) on each block.  A stack of an even order that
-    could split past its halves is solved matrix by matrix.  A convergence
-    failure names m by a sha256 prefix."""
+    less its last axis, and the extra, from solver(block) =
+    (eigenvalues, extra) on the one block solved: m's reflection halves
+    where m splits, else m itself.  A convergence failure names m by a
+    sha256 prefix."""
     m = _as_matrices(a)
-    n = m.shape[-1]
-    whole = m.ndim == 2 or n % 2 or n // 2 < SPLIT_FLOOR
-    rows, extras = [], []
     try:
-        for part in [m] if whole else m:
-            row = []
-            for block in _blocks(part):
-                values, extra = solver(block)
-                row.append(values.reshape(part.shape[:-2] + (-1,)))
-                extras.append(extra)
-            rows.append(np.concatenate(row[::-1], axis=-1))
+        values, extra = solver(_halves(m) if _splits(m) else m)
     except np.linalg.LinAlgError as exc:
         import hashlib  # only on this path: keeps package import fast
+        n = m.shape[-1]
         digest = hashlib.sha256(m.tobytes()).hexdigest()[:16]
         what = (f"stack of {len(m)} {n}x{n} matrices" if m.ndim == 3
                 else f"{n}x{n} matrix")
         raise RuntimeError(f"eigensolver failed to converge on the {what} "
                            f"(sha256 {digest})") from exc
-    return np.concatenate(rows).reshape(m.shape[:-1]), extras
+    return values.reshape(m.shape[:-1]), extra
 
 
 def _symmetric(m: np.ndarray) -> bool:
@@ -204,9 +177,9 @@ def eigenvalues(a) -> np.ndarray:
     same Hessenberg-plus-QR solve as full_spectrum, run for the eigenvalues
     only: complex eigenvalues come out in exact conjugate pairs.  No
     residual is computed.  A (k, n, n) stack gives a (k, n) array, one row
-    per matrix.  Where the input splits, a row holds its blocks'
-    eigenvalues in the layout the module docstring gives: its first n/2
-    entries are the eigenvalues of A + B J, its last n/2 those of A - B J.
+    per matrix.  Where the input splits, a row's first n/2 entries are the
+    eigenvalues of A + B J, its last n/2 those of A - B J (see the module
+    docstring).
     """
     return _solve(a, _eigvals)[0]
 
@@ -221,12 +194,12 @@ def full_spectrum(a) -> OracleSpectrum:
     (Hessenberg reduction followed by implicitly shifted QR).  The residual
     reported is the largest relative eigenpair defect
     max_i |A v_i - lam_i v_i| / ||A||_F over the matrices solved (the
-    blocks, where the input splits, each against its own norm).  A
+    halves, where the input splits, each against its own norm).  A
     (k, n, n) stack gives (k, n) eigenvalues, one row per matrix, and the
     largest of the residuals.
     """
-    values, residuals = _solve(a, _eig)
-    return OracleSpectrum(eigenvalues=values, residual=max(residuals))
+    values, residual = _solve(a, _eig)
+    return OracleSpectrum(eigenvalues=values, residual=residual)
 
 
 def _residual(m: np.ndarray, values: np.ndarray, vectors: np.ndarray) -> float:
@@ -304,8 +277,7 @@ def reflection_halves(a) -> np.ndarray:
     """The (2, n/2, n/2) stack [A + B J, A - B J] of a matrix of even order
     n that is bit-equal to its 180-degree rotation, whose eigenvalues
     together are those of the matrix; any other input unchanged.  This is
-    the first split of the solvers' block chain (see the module
-    docstring).
+    the block the solvers solve (see the module docstring).
 
     A (k, n, n) stack splits into (2k, n/2, n/2), each matrix's two halves
     in turn, if every matrix in it splits.  A bit-symmetric input gives
@@ -381,6 +353,51 @@ def isospectral_matrix(n: int, w) -> np.ndarray:
     return out if ws.ndim else out[0]
 
 
+def plane_eigenvalues(n: int, w: float) -> np.ndarray:
+    """The n eigenvalues of the period matrix W(w) = S2 S1 from its
+    invariant planes (see the module docstring), with no n x n matrix.
+
+    The planes' eigenvalues come first, two per principal angle, then 1
+    for the consensus direction and, at even n, 1 - 2w for the second
+    matching's unpaired edge direction.  n must lie in
+    3..MAX_SPECTRUM_ORDER and w in [0, 1].
+    """
+    if not 3 <= n <= MAX_SPECTRUM_ORDER:
+        raise ValueError(f"plane eigenvalues need 3 <= n <= "
+                         f"{MAX_SPECTRUM_ORDER}, got n={n}")
+    w = float(matrices._unit_values(w, "gossip weight"))
+    sched = matrices.optimal_schedule(n)
+    e1, e2 = np.array(sched.e1), np.array(sched.e2)
+    # C[a, b] = u_a . u_b for the unit edge vectors u of e1 edge a and e2
+    # edge b: -1/2 where the two edges share a node.  A node lies on at
+    # most one edge of a matching, so each end of an e2 edge names the
+    # one e1 edge it meets there, if any.
+    e1_at = np.full(n + 1, -1)
+    e1_at[e1] = np.arange(len(e1))[:, None]
+    a = e1_at[e2]
+    b = np.broadcast_to(np.arange(len(e2))[:, None], a.shape)
+    meets = a >= 0
+    gram = np.zeros((len(e1), len(e2)))
+    gram[a[meets], b[meets]] = -0.5
+    cos2 = eigenvalues(gram @ gram.T)
+    sc = np.sqrt(cos2) * np.sqrt(1.0 - cos2)
+    p2 = np.stack([cos2, sc, sc, 1.0 - cos2], axis=-1).reshape(-1, 2, 2)
+    s1 = np.diag([1.0 - 2.0 * w, 1.0])
+    planes = (np.eye(2) - 2.0 * w * p2) @ s1
+    unpaired = [1.0 - 2.0 * w] * (len(e2) - len(e1))
+    return np.concatenate([eigenvalues(planes).reshape(-1), [1.0], unpaired])
+
+
+def _gap(eigs: np.ndarray) -> float:
+    """1 - (second largest modulus) of a spectrum: the largest modulus
+    once the entry nearest 1 is set aside."""
+    idx = int(np.argmin(np.abs(eigs - 1.0)))
+    rest = np.delete(eigs, idx)
+    if rest.size == 0:
+        return 1.0
+    return 1.0 - float(np.abs(rest).max())
+
+
 def spectral_gap_numeric(a) -> float:
     """1 - (second largest eigenvalue modulus) of a doubly stochastic
     matrix, from eigenvalues()."""
@@ -389,12 +406,7 @@ def spectral_gap_numeric(a) -> float:
     if np.abs(m @ ones - ones).max() > 1e-9 or \
             np.abs(m.T @ ones - ones).max() > 1e-9:
         raise ValueError("matrix is not doubly stochastic")
-    eigs = eigenvalues(m)
-    idx = int(np.argmin(np.abs(eigs - 1.0)))
-    rest = np.delete(eigs, idx)
-    if rest.size == 0:
-        return 1.0
-    return 1.0 - float(np.abs(rest).max())
+    return _gap(eigenvalues(m))
 
 
 def _as_spectra(eigs_a, eigs_b, stacks: bool):

@@ -16,19 +16,20 @@ Proves:
      is a usage error (exit code 2) for verify and simulate before any
      suite or simulation runs.
   4. The report commands and spectrum read eigenvalues only: they run with
-     the eigenpair solver disabled.  Rows and spectra at w <= 1/2 (every
-     link-failure row among them) run with the general solver disabled,
-     and rows at w > 1/2 with the symmetric one disabled.  At even n the
-     general solver sees nothing larger than a half-order block.
+     the eigenpair solver disabled.  They take W(w)'s eigenvalues from its
+     planes (oracle.plane_eigenvalues): they run with every n x n builder
+     disabled, on either side of 1/2 and with link failures, and no
+     driver sees a matrix of order n.
   5. Bad sizes, bad simulator settings (a period budget too short to
      measure a rate among them), a report of more rows than
      MAX_GRID_POINTS and an --out path that cannot be written end in an
-     error: line before any row is computed, never in a traceback.
+     error: line before any row is computed, never in a traceback.  A
+     simulation that runs out of memory ends in an error: line too.
   6. verify's stacked suites return the float of a one-matrix-at-a-time
      loop (one weight and one p at a time for the closed form and the
      enumeration), and an --n-max the spectra suite cannot solve is an
      error: line before any suite runs.  The spectra suite passes full_spectrum the
-     report path's matrices (oracle.isospectral_matrix), in stacks of at
+     matrices oracle.isospectral_matrix builds, in stacks of at
      most SPECTRA_STACK_BYTES at 8 n^2 bytes a matrix; the solver splits
      each even-order stack into its halves and sends symmetric ones to the
      symmetric driver; the suite pairs each solved stack with its closed
@@ -647,10 +648,26 @@ def test_report_path_never_solves_for_eigenvectors(monkeypatch, capsys, argv):
 ])
 def test_report_path_solver_follows_the_weight(monkeypatch, capsys, disabled,
                                                argv):
-    def must_not_run(*args, **kwargs):
-        raise AssertionError(f"np.linalg.{disabled} called")
+    # disabled names the driver that solved W(w), or its stand-in, at this
+    # weight before the report path took its eigenvalues from the planes;
+    # now no n x n matrix is built, and no driver sees one.
+    n = int(argv.split()[2])
 
-    monkeypatch.setattr(np.linalg, disabled, must_not_run)
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("an n x n matrix was built")
+
+    for module, name in ((matrices, "primitive_gossip_matrix"),
+                         (matrices, "expected_failure_matrix"),
+                         (oracle, "isospectral_matrix")):
+        monkeypatch.setattr(module, name, must_not_run)
+    driver = getattr(np.linalg, disabled)
+
+    def below_order_n(m):
+        if m.shape[-1] >= n:
+            raise AssertionError(f"np.linalg.{disabled} called on {m.shape}")
+        return driver(m)
+
+    monkeypatch.setattr(np.linalg, disabled, below_order_n)
     code, out = run_cli(capsys, *argv.split())
     assert code == 0
     rows = parse_csv(out)
@@ -719,6 +736,15 @@ def test_bad_size_or_setting_is_an_error_line(monkeypatch, argv):
     monkeypatch.setattr(cli, "_report_row", must_not_run)
     monkeypatch.setattr(cli.sim, "_run", must_not_run)
     assert error_exit(argv.split()).startswith("error:")
+
+
+def test_simulation_out_of_memory_is_an_error_line(monkeypatch):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB")
+
+    monkeypatch.setattr(cli.sim, "monte_carlo_rate", out_of_memory)
+    message = error_exit("simulate --n 1000000000000 --seed 1".split())
+    assert message == "error: Unable to allocate 7.28 TiB"
 
 
 @pytest.mark.parametrize("argv", [

@@ -26,12 +26,10 @@ Proves:
      [0, 1] or NaN anywhere in it is rejected before any product is built.
   8. A (k, n, n) stack solves to the bits of its one-matrix solves, with
      the largest of their residuals (general stacks and verify's
-     symmetric and general stacks alike, up to the per-matrix stacks at
-     n = 128 and 256), below 1e-13 on verify's weights
-     up to n = 60; an array of shifts gives the bits of
+     symmetric and general stacks alike, up to n = 256), below 1e-13 on
+     verify's weights up to n = 60; an array of shifts gives the bits of
      its one-shift determinants; a failed solve names the whole input's
-     sha256 digest, also when it fails inside the recursive chain of a
-     single matrix or in one matrix of a stack solved matrix by matrix;
+     sha256 digest, also when it fails on a matrix's reflection halves;
      the one-matrix entry points still reject a stack.
   9. For w <= 1/2 isospectral_matrix's S1(h) S2(w) S1(h) = W(h)^T W(h)
      stands in for W(w): it runs the three rounds as two periods through
@@ -55,8 +53,8 @@ Proves:
  10. The reflection split, inside both solvers: at even n the period
      matrix is bit-equal to its 180-degree rotation, and the eigenvalues
      of its two half-order blocks together lie within 1e-13 of the whole
-     matrix's general solve; below n = 2 SPLIT_FLOOR spectral_gap_numeric
-     and a stack solve them in one call of (2k, n/2, n/2); odd n, an even-order input one ulp off
+     matrix's general solve; spectral_gap_numeric and a stack solve them
+     in one call of (2k, n/2, n/2); odd n, an even-order input one ulp off
      its rotation, or a stack that mixes the two, is solved whole, with
      the bits of the whole matrix's np.linalg.eigvals; symmetric input
      gives bit-symmetric halves that reach the symmetric driver;
@@ -73,18 +71,18 @@ Proves:
      above 1/2, gives W(w) itself.  A bad weight anywhere in the input is
      rejected before anything is built, and an order below 3 on either
      side of 1/2.
- 12. The recursive split: at every even n from 128 to 600 and at 1000,
-     1024 and 2000, for weights whose first halves are their own rotations
-     (0.55, 0.7, 0.8, 0.95 and, below 1/2, 0.45) the solves are the block
-     chain (n/2, n/2), (n/4, n/4), ..., then (2, b, b), b below SPLIT_FLOOR
-     or odd, and for 0.3, whose first half is not, the single (2, n/2,
-     n/2) stack; the row's first half pairs with the single split's A + B J
-     eigenvalues within 1e-12 and its second half is the bits of A - B J's.
-     Below n = 2 SPLIT_FLOOR nothing splits past the halves.  At w = 0.85
-     the first half is one ulp off its rotation and both solvers keep the
-     single split with its bits; a stack mixing 0.8 and 0.85 at n = 256
-     gives each row the bits of its own one-matrix call; and the residual
-     over the blocks stays below 1e-13.
+ 12. The residual over the reflection halves stays below 1e-13 at n = 128
+     to 512 on both sides of 1/2, and full_spectrum's eigenvalues pair with
+     eigenvalues()' within 1e-12.
+ 13. plane_eigenvalues gives W(w)'s n eigenvalues from its invariant
+     planes without building or solving an n x n matrix: within 1e-12 of
+     the dense solve of W(w) at n = 511, 512, 1000, 1999 and 2000 on both
+     sides of 1/2 and at w = 0 and 1; the consensus eigenvalue 1 once and,
+     at even n, the unpaired 1 - 2w once; its solves go through
+     eigenvalues(), the tridiagonal C C^T of order (n - 1) // 2 to the
+     symmetric driver and the (m1, 2, 2) planes to the general one; an
+     order outside 3..MAX_SPECTRUM_ORDER or a weight outside [0, 1] is a
+     ValueError before any solve.
 """
 import hashlib
 import math
@@ -405,8 +403,8 @@ def test_stacked_solves_are_the_bits_of_one_matrix_solves_up_to_n_60():
 
 
 def isospectral_stacks(n):
-    """verify's spectra stacks at order n: the report path's matrices of
-    its weights up to 1/2 (symmetric) and above (general)."""
+    """verify's spectra stacks at order n: isospectral_matrix of its
+    weights up to 1/2 (symmetric) and above (general)."""
     return [np.stack([isospectral_matrix(n, w) for w in group])
             for group in ([w for w in VERIFY_WEIGHTS if w <= 0.5],
                           [w for w in VERIFY_WEIGHTS if w > 0.5])]
@@ -482,15 +480,11 @@ def test_one_matrix_entry_points_reject_a_stack(entry):
 
 
 # (input, the message's name for it, the driver call that fails, id
-# suffix).  At n = 256, W(0.8) is solved as blocks 128, 64 and (2, 32, 32),
-# so its second call fails inside the recursive chain; a stack at n = 128
-# is solved matrix by matrix, and its third call is the second matrix's
-# first.
+# suffix).  At n = 256, W(0.8) is solved as its (2, 128, 128) halves, and
+# the message names the matrix passed in.
 FAILED_SOLVES = [
     (gossip_stack(5, [0.3, 0.6, 0.9]), "stack of 3 5x5 matrices", 1, ""),
-    (primitive_gossip_matrix(256, 0.8), "256x256 matrix", 2, "-chain"),
-    (gossip_stack(128, [0.8, 0.8]), "stack of 2 128x128 matrices", 3,
-     "-per-matrix"),
+    (primitive_gossip_matrix(256, 0.8), "256x256 matrix", 1, "-halves"),
 ]
 
 
@@ -825,12 +819,9 @@ def record_solves(monkeypatch, names=("eigvalsh", "eigvals")):
 
 @pytest.mark.parametrize("n", [4, 6, 12, 60, 128])
 def test_gap_solves_one_half_order_stack_at_even_n(monkeypatch, n):
-    # Below twice SPLIT_FLOOR the halves are solved as they are; at n = 128
-    # the first half, of order 64, splits once more.
     calls = record_solves(monkeypatch)
     spectral_gap_numeric(primitive_gossip_matrix(n, 0.8))
-    assert calls == ([("eigvals", (2, n // 2, n // 2))] if n < 128 else
-                     [("eigvals", (64, 64)), ("eigvals", (2, 32, 32))])
+    assert calls == [("eigvals", (2, n // 2, n // 2))]
 
 
 @pytest.mark.parametrize("n", [3, 5, 9, 33, 61])
@@ -915,114 +906,68 @@ def test_order_cap_is_on_the_callers_order(monkeypatch):
             entry(big)
 
 
-# --- recursive split of the first half -----------------------------------------------
-
-# W(w)'s first half is its own rotation at every n = 0 (mod 4) of this test
-# at these weights, and so is every first half after it: the solve goes down
-# the whole chain.  At 0.3 (below 1/2, the symmetric matrix) the first half
-# is off its rotation, so it keeps the single split.
-DEEP_WEIGHTS = [0.55, 0.7, 0.8, 0.95, 0.45]
-SHALLOW_WEIGHTS = [0.3]
-
-
-def block_chain(n):
-    """The shapes solved, in turn, for a matrix of even order n that splits
-    as deep as SPLIT_FLOOR lets it: the second half of every split but the
-    last, largest first, then both blocks of the deepest split as one
-    stack."""
-    h, outer = n // 2, []
-    while h % 2 == 0 and h >= oracle.SPLIT_FLOOR:
-        outer.append((h, h))
-        h //= 2
-    return outer + [(2, h, h)]
-
-
-def single_split(m):
-    """numpy's solve of m's two reflection halves as one stack: the
-    solvers' answer before the first half was split again."""
-    halves = reflection_halves(m)
-    solve = (np.linalg.eigvalsh if np.array_equal(m, m.T)
-             else np.linalg.eigvals)
-    return solve(halves)
-
-
-@pytest.mark.parametrize("ns", [range(lo, min(lo + 96, 601), 2)
-                                for lo in range(128, 601, 96)]
-                         + [[1000, 1024, 2000]],
-                         ids=lambda ns: f"{ns[0]}-{ns[-1]}")
-def test_recursive_split_pairs_with_the_single_split(monkeypatch, ns):
-    for n in ns:
-        for w in DEEP_WEIGHTS + SHALLOW_WEIGHTS:
-            m = isospectral_matrix(n, w)
-            first, second = single_split(m)
-            calls = record_solves(monkeypatch)
-            values = eigenvalues(m)
-            monkeypatch.undo()
-            driver = "eigvalsh" if w <= 0.5 else "eigvals"
-            chain = block_chain(n) if w in DEEP_WEIGHTS else [(2, n // 2,
-                                                               n // 2)]
-            assert calls == [(driver, shape) for shape in chain], (n, w)
-            # A + B J's eigenvalues, then A - B J's, which are solved alone
-            # at the top and keep their bits.
-            assert spectrum_match_distance(values[:n // 2], first) <= 1e-12, \
-                (n, w)
-            assert np.array_equal(values[n // 2:], second), (n, w)
-
-
-def test_below_twice_the_floor_the_halves_are_not_split_again(monkeypatch):
-    for n in range(4, 2 * oracle.SPLIT_FLOOR, 2):
-        m = primitive_gossip_matrix(n, 0.8)
-        calls = record_solves(monkeypatch)
-        values = eigenvalues(m)
-        monkeypatch.undo()
-        assert calls == [("eigvals", (2, n // 2, n // 2))], n
-        assert np.array_equal(values, single_split(m).reshape(-1)), n
-
-
-@pytest.mark.parametrize("n", [128, 256, 512, 1024])
-def test_one_ulp_off_first_half_keeps_the_single_split(monkeypatch, n):
-    m = primitive_gossip_matrix(n, 0.85)
-    first = reflection_halves(m)[0]
-    rotated = first[::-1, ::-1]
-    assert not np.array_equal(first, rotated)
-    assert within_ulps(first, rotated, ulps=1)
-    calls = record_solves(monkeypatch, ("eigvals", "eig"))
-    values = eigenvalues(m)
-    full = full_spectrum(m).eigenvalues
-    monkeypatch.undo()
-    assert calls == [("eigvals", (2, n // 2, n // 2)),
-                     ("eig", (2, n // 2, n // 2))]
-    halves = reflection_halves(m)
-    assert np.array_equal(values, np.linalg.eigvals(halves).reshape(-1))
-    assert np.array_equal(full, np.linalg.eig(halves)[0].reshape(-1))
-
-
-@pytest.mark.parametrize("entry", [eigenvalues,
-                                   lambda a: full_spectrum(a).eigenvalues],
-                         ids=["eigenvalues", "full_spectrum"])
-def test_mixed_depth_stack_rows_are_the_bits_of_one_matrix_calls(monkeypatch,
-                                                                 entry):
-    # 0.8 splits down to the floor, 0.85 only once: each matrix of the
-    # stack is solved on its own.
-    n, ws = 256, [0.8, 0.85, 0.8]
-    stack = primitive_gossip_matrix(n, np.array(ws))
-    calls = record_solves(monkeypatch, ("eigvals", "eig"))
-    rows = entry(stack)
-    shapes = [shape for _, shape in calls]
-    monkeypatch.undo()
-    deep, shallow = block_chain(n), [(2, n // 2, n // 2)]
-    assert shapes == deep + shallow + deep
-    assert rows.shape == (len(ws), n)
-    for w, row in zip(ws, rows):
-        assert np.array_equal(row, entry(primitive_gossip_matrix(n, w))), w
+# --- residual over the halves ------------------------------------------------------
 
 
 @pytest.mark.parametrize("n", [128, 224, 320, 512])
 def test_residual_over_the_blocks_stays_below_1e_13(n):
-    for w in DEEP_WEIGHTS + SHALLOW_WEIGHTS + [0.85]:
-        spectrum = full_spectrum(isospectral_matrix(n, w))
+    for w in [0.3, 0.45, 0.55, 0.7, 0.8, 0.85, 0.95]:
+        m = isospectral_matrix(n, w)
+        spectrum = full_spectrum(m)
         assert spectrum.residual < 1e-13, (n, w)
-        assert spectrum_match_distance(
-            spectrum.eigenvalues,
-            single_split(isospectral_matrix(n, w)).reshape(-1)) <= 1e-12, \
-            (n, w)
+        assert spectrum_match_distance(spectrum.eigenvalues,
+                                       eigenvalues(m)) <= 1e-12, (n, w)
+
+
+# --- eigenvalues from the two-projection planes ---------------------------------------
+
+
+PLANE_WEIGHTS = [0.0, 0.05, 0.3, 0.5, 0.7, 0.8, 0.85, 0.95, 1.0]
+
+
+@pytest.mark.parametrize("n", [511, 512, 1000, 1999, 2000])
+def test_plane_eigenvalues_pair_with_the_dense_solve_at_large_n(n):
+    # One dense solve per order: the rest of the weights pair with the
+    # dense solve at n <= 300 (tests/test_properties.py).
+    for w in ([0.3, 0.8] if n > 512 else PLANE_WEIGHTS):
+        planes = oracle.plane_eigenvalues(n, w)
+        assert planes.shape == (n,)
+        dense = eigenvalues(primitive_gossip_matrix(n, w))
+        assert spectrum_match_distance(planes, dense) <= 1e-12, (n, w)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 8, 9, 64, 65])
+@pytest.mark.parametrize("w", [0.3, 0.8])
+def test_plane_eigenvalues_end_with_consensus_and_the_unpaired_edge(
+        monkeypatch, n, w):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("an n x n matrix was built")
+
+    monkeypatch.setattr(matrices, "primitive_gossip_matrix", must_not_run)
+    monkeypatch.setattr(oracle, "isospectral_matrix", must_not_run)
+    calls = record_solves(monkeypatch)
+    values = oracle.plane_eigenvalues(n, w)
+    m1 = (n - 1) // 2
+    assert values.shape == (n,)
+    # The tridiagonal C C^T splits into its halves where it is its own
+    # rotation (every even n with m1 even), else it is solved whole.
+    gram = (2, m1 // 2, m1 // 2) if n % 2 == 0 and m1 % 2 == 0 else (m1, m1)
+    assert calls == [("eigvalsh", gram), ("eigvals", (m1, 2, 2))]
+    tail = [1.0] + [1.0 - 2.0 * w] * (n % 2 == 0)
+    assert values[2 * m1:].tolist() == tail
+
+
+@pytest.mark.parametrize("n", [2, MAX_SPECTRUM_ORDER + 1])
+def test_plane_eigenvalues_reject_an_order_before_any_solve(monkeypatch, n):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("solved before the order was checked")
+
+    monkeypatch.setattr(oracle, "eigenvalues", must_not_run)
+    with pytest.raises(ValueError, match="3 <= n"):
+        oracle.plane_eigenvalues(n, 0.5)
+
+
+@pytest.mark.parametrize("w", [-0.1, 1.5, math.nan])
+def test_plane_eigenvalues_reject_a_weight_outside_the_unit_interval(w):
+    with pytest.raises(ValueError, match="gossip weight"):
+        oracle.plane_eigenvalues(8, w)

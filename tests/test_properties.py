@@ -35,6 +35,8 @@ grid, with the tolerance of the matching fixed-grid test:
      within 4 ulps of the dense BLAS product W(h)^T W(h) (averaged with
      its rotation at even n) for n in 3..200 and any stack of weights in
      [0, 1/2].
+ 10. plane_eigenvalues pairs with the dense eigenvalues() of W(w) within
+     1e-12 for n in 3..300 and any w in [0, 1].
 
 Examples are derandomized, so every run draws the same cases.
 """
@@ -49,8 +51,9 @@ from latticegossip import cli
 from latticegossip.cli import _report_row
 from latticegossip.matrices import (apply_period, expected_failure_matrix,
                                     primitive_gossip_matrix)
-from latticegossip.oracle import (enumerate_failure_expectation,
-                                  isospectral_matrix, spectral_gap_numeric,
+from latticegossip.oracle import (eigenvalues, enumerate_failure_expectation,
+                                  isospectral_matrix, plane_eigenvalues,
+                                  spectral_gap_numeric,
                                   spectrum_match_distance, spectrum_pairing)
 from latticegossip.pentadiag import (PentaParams, analytic_eigenvalues,
                                      link_failure_params, penta_matrix,
@@ -350,3 +353,13 @@ def test_band_build_is_within_ulps_of_the_dense_product(n, weights):
             dense = (dense + dense[::-1, ::-1]) / 2
         assert (np.abs(built - dense) <= 4 * np.spacing(
             np.maximum(np.abs(built), np.abs(dense)))).all(), (n, w)
+
+
+# --- eigenvalues from the two-projection planes -------------------------------------
+
+
+@PROPERTY
+@given(n=st.integers(3, 300), w=st.floats(0.0, 1.0))
+def test_plane_eigenvalues_pair_with_the_dense_solve(n, w):
+    dense = eigenvalues(primitive_gossip_matrix(n, w))
+    assert spectrum_match_distance(plane_eigenvalues(n, w), dense) <= 1e-12
