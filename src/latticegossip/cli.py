@@ -21,8 +21,14 @@ REPORT_FIELDS = ("n", "w", "p", "analytic_rate", "numeric_rate",
                  "empirical_rate", "lambda2_modulus", "regime")
 
 # Largest order for which sweep/rate commands attach the numeric
-# cross-check column (one oracle.plane_eigenvalues call per row).
+# cross-check column (one oracle.plane_eigenvalues call per order).
 NUMERIC_RATE_MAX_N = 512
+
+# Most bytes of (k, n) eigenvalue rows (8 n each) one plane_eigenvalues
+# call of a report returns: 256 weights at n = 512, so every grid up to
+# that size takes one call per order, while the call's temporaries, a few
+# times its output, stay a few MiB however long the grid.
+PLANE_STACK_BYTES = 1 << 20
 
 # Most points a --*-range or --*-grid argument may expand to, and most rows
 # a report may have; each count is checked before the work it bounds.
@@ -194,25 +200,41 @@ def _expected_weight(p: float, w: float = 0.5) -> float:
     return (1.0 - p) * w
 
 
-def _numeric_rate(n: int, w: float) -> float | None:
+def _row_weight(w: float | None = None, p: float | None = None) -> float:
+    """The expected weight (1-p)*w of a report row at gossip weight w (1/2
+    when None) and link failure probability p (0 when None)."""
+    return _expected_weight(0.0 if p is None else p, 0.5 if w is None else w)
+
+
+def _numeric_rates(n: int, weights: list[float]) -> list[float | None]:
+    """The numeric_rate cells of report rows of order n at the given
+    expected weights: 1 - |lambda_2| of each row of one
+    oracle.plane_eigenvalues call per PLANE_STACK_BYTES of its output, or
+    None above NUMERIC_RATE_MAX_N."""
     if n > NUMERIC_RATE_MAX_N:
-        return None
-    return oracle._gap(oracle.plane_eigenvalues(n, w))
+        return [None] * len(weights)
+    per_stack = max(1, PLANE_STACK_BYTES // (8 * n))
+    return [oracle._gap(eigs) for i in range(0, len(weights), per_stack)
+            for eigs in oracle.plane_eigenvalues(
+                n, np.array(weights[i:i + per_stack]))]
 
 
 def _report_row(n: int, w: float | None = None, p: float | None = None,
-                empirical: float | None = None) -> dict:
+                empirical: float | None = None,
+                numeric: float | None = None) -> dict:
     """One REPORT_FIELDS row at gossip weight w (1/2 when None) and link
     failure probability p (0 when None).  Its closed form and numeric
     column are those of the expected one-period matrix, weighted gossip at
-    (1-p)*w."""
-    row = dict.fromkeys(REPORT_FIELDS)
-    row.update(n=n, w=w, p=p, empirical_rate=empirical)
-    expected_w = _expected_weight(0.0 if p is None else p,
-                                  0.5 if w is None else w)
+    (1-p)*w.  numeric is the row's cell from _numeric_rates; when None,
+    the row computes its own."""
+    expected_w = _row_weight(w, p)
+    if numeric is None:
+        (numeric,) = _numeric_rates(n, [expected_w])
     r = rates.rate_weighted(n, expected_w)
-    row.update(analytic_rate=r.rate, numeric_rate=_numeric_rate(n, expected_w),
-               lambda2_modulus=r.lambda2_modulus, regime=r.regime)
+    row = dict.fromkeys(REPORT_FIELDS)
+    row.update(n=n, w=w, p=p, analytic_rate=r.rate, numeric_rate=numeric,
+               empirical_rate=empirical, lambda2_modulus=r.lambda2_modulus,
+               regime=r.regime)
     return row
 
 
@@ -222,7 +244,11 @@ def _write_report(args, ns: list[int], name: str, values: list[float]) -> int:
     if len(ns) * len(values) > MAX_GRID_POINTS:
         raise SystemExit(f"error: {len(ns)} orders times {len(values)} "
                          f"values make more than {MAX_GRID_POINTS} rows")
-    rows = [_report_row(n, **{name: v}) for n in ns for v in values]
+    # The rows of one order share one numeric pass.
+    cells = [{name: v} for v in values]
+    weights = [_row_weight(**cell) for cell in cells]
+    rows = [_report_row(n, **cell, numeric=numeric) for n in ns
+            for cell, numeric in zip(cells, _numeric_rates(n, weights))]
     write_rows(rows, REPORT_FIELDS, args.out, args.format)
     return 0
 

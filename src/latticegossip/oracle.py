@@ -46,16 +46,25 @@ span of matching k's unit edge vectors (e_i - e_j)/sqrt(2), so W(w) splits
 into invariant planes, one per principal angle between the two spans,
 plus the directions neither span pairs (P. R. Halmos, "Two subspaces",
 Trans. AMS 144, 1969).  The principal cosines s are the square roots of
-the eigenvalues of C C^T, C = U1^T U2 the Gram block of the two
+the eigenvalues of C C^T, C = U1^T U2 the (m1, m2) Gram block of the two
 matchings' edge vectors, which is -1/2 where two edges share a node and 0
-elsewhere; C is bidiagonal, so C C^T is tridiagonal, solved by
-eigenvalues().  In an orthonormal basis of its plane P1 = diag(1, 0) and
+elsewhere.  C is bidiagonal, so C C^T is tridiagonal, built in O(n) from
+the edge lists with the bits of the dense product, and solved by
+eigenvalues().  At even n both C C^T (order n/2 - 1) and C^T C (order
+n/2) equal their 180-degree rotations, and one of the two orders is even:
+n = 2 (mod 4) solves C C^T, n = 0 (mod 4) C^T C, so the solve splits into
+its reflection halves either way.  C^T C has one eigenvalue more, 0 for
+C's null vector; the one of least magnitude is dropped, and an error
+raised if it is not 0 to rounding.  Odd n solve C C^T whole.  In an
+orthonormal basis of its plane P1 = diag(1, 0) and
 P2 = [[s^2, sc], [sc, c^2]], c = sqrt(1 - s^2), and the (m1, 2, 2) stack
 of (I - 2w P2)(I - 2w P1) is solved by eigenvalues() too.  The consensus
 direction adds 1, and at even n the one edge direction of the second
-matching left unpaired adds 1 - 2w.  Nothing of the closed forms, and no
-cos(k pi / n), enters; the report path's numeric columns (the CLI's
-rate rows and spectrum) come from here.
+matching left unpaired adds 1 - 2w.  The cosines depend on n alone, so a
+1-D array of k weights takes one cosine solve and one (k m1, 2, 2) stack.
+Nothing of the closed forms, and no cos(k pi / n), enters; the report
+path's numeric columns (the CLI's rate rows, one call per order, and
+spectrum) come from here.
 
 isospectral_matrix(n, w) builds the matrix verify's spectra suite solves
 for W(w), or for an array of weights on one side of 1/2 the stack of
@@ -78,6 +87,7 @@ distances.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -353,7 +363,49 @@ def isospectral_matrix(n: int, w) -> np.ndarray:
     return out if ws.ndim else out[0]
 
 
-def plane_eigenvalues(n: int, w: float) -> np.ndarray:
+def _edge_gram(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
+    """The Gram matrix C C^T of C[a, b] = u_a . u_b, u the unit edge
+    vectors of the (m, 2) edge lists rows and cols, two matchings of the
+    n-node path, built in O(n) plus its zero fill.
+
+    C is -1/2 where edge a of rows and edge b of cols share a node and 0
+    elsewhere.  A node lies on at most one edge of a matching, so each end
+    of a cols edge names the one rows edge it meets there, if any, and
+    C C^T is the sum over the cols edges b of C[:, b] C[:, b]^T: 1/4 at
+    every pair of rows edges b meets.  Each entry is a sum of at most two
+    1/4s, so exact, with the bits of the dense product.
+    """
+    rows_at = np.full(n + 1, -1)
+    rows_at[rows] = np.arange(len(rows))[:, None]
+    ends = rows_at[cols]
+    a, b = ends[:, [0, 0, 1, 1]], ends[:, [0, 1, 0, 1]]
+    meet = (a >= 0) & (b >= 0)
+    gram = np.zeros((len(rows), len(rows)))
+    np.add.at(gram, (a[meet], b[meet]), 0.25)
+    return gram
+
+
+def _cosines_squared(n: int) -> np.ndarray:
+    """The m1 = (n - 1) // 2 squared principal cosines between the two
+    matchings of the n-node path: the eigenvalues of the even-order Gram
+    where there is one (see the module docstring)."""
+    sched = matrices.optimal_schedule(n)
+    # (m, 2) edge arrays; fromiter skips np.array's per-pair sequence
+    # inspection.
+    e1, e2 = (np.fromiter(itertools.chain.from_iterable(edges), int)
+              .reshape(-1, 2) for edges in (sched.e1, sched.e2))
+    if n % 4:
+        return eigenvalues(_edge_gram(e1, e2, n))
+    # C^T C has C C^T's eigenvalues and one 0 more, for C's null vector.
+    cos2 = eigenvalues(_edge_gram(e2, e1, n))
+    null = int(np.abs(cos2).argmin())
+    if abs(cos2[null]) > len(cos2) * np.finfo(float).eps:
+        raise RuntimeError(f"the smallest eigenvalue of C^T C at n={n} is "
+                           f"{cos2[null]:.3e}, not 0 to rounding")
+    return np.delete(cos2, null)
+
+
+def plane_eigenvalues(n: int, w) -> np.ndarray:
     """The n eigenvalues of the period matrix W(w) = S2 S1 from its
     invariant planes (see the module docstring), with no n x n matrix.
 
@@ -361,31 +413,31 @@ def plane_eigenvalues(n: int, w: float) -> np.ndarray:
     for the consensus direction and, at even n, 1 - 2w for the second
     matching's unpaired edge direction.  n must lie in
     3..MAX_SPECTRUM_ORDER and w in [0, 1].
+
+    w may also be a 1-D array of k weights, giving a (k, n) array, row i
+    the entries of the call at w[i], from one cosine solve and one
+    (k m1, 2, 2) stack of planes.  Every weight is checked before any
+    solve.
     """
     if not 3 <= n <= MAX_SPECTRUM_ORDER:
         raise ValueError(f"plane eigenvalues need 3 <= n <= "
                          f"{MAX_SPECTRUM_ORDER}, got n={n}")
-    w = float(matrices._unit_values(w, "gossip weight"))
-    sched = matrices.optimal_schedule(n)
-    e1, e2 = np.array(sched.e1), np.array(sched.e2)
-    # C[a, b] = u_a . u_b for the unit edge vectors u of e1 edge a and e2
-    # edge b: -1/2 where the two edges share a node.  A node lies on at
-    # most one edge of a matching, so each end of an e2 edge names the
-    # one e1 edge it meets there, if any.
-    e1_at = np.full(n + 1, -1)
-    e1_at[e1] = np.arange(len(e1))[:, None]
-    a = e1_at[e2]
-    b = np.broadcast_to(np.arange(len(e2))[:, None], a.shape)
-    meets = a >= 0
-    gram = np.zeros((len(e1), len(e2)))
-    gram[a[meets], b[meets]] = -0.5
-    cos2 = eigenvalues(gram @ gram.T)
+    ws = matrices._unit_values(w, "gossip weight")
+    k = ws.size
+    cos2 = _cosines_squared(n)
     sc = np.sqrt(cos2) * np.sqrt(1.0 - cos2)
     p2 = np.stack([cos2, sc, sc, 1.0 - cos2], axis=-1).reshape(-1, 2, 2)
-    s1 = np.diag([1.0 - 2.0 * w, 1.0])
-    planes = (np.eye(2) - 2.0 * w * p2) @ s1
-    unpaired = [1.0 - 2.0 * w] * (len(e2) - len(e1))
-    return np.concatenate([eigenvalues(planes).reshape(-1), [1.0], unpaired])
+    # (I - 2w P2)(I - 2w P1), P1 = diag(1, 0): the first column times
+    # 1 - 2w.
+    two_w = (2.0 * ws).reshape(k, 1, 1)
+    planes = np.eye(2) - two_w[..., None] * p2
+    planes[..., 0] *= 1.0 - two_w
+    values = eigenvalues(planes.reshape(-1, 2, 2)).reshape(k, -1)
+    tail = np.empty((k, n - values.shape[1]))
+    tail[:, 0] = 1.0
+    tail[:, 1:] = 1.0 - two_w[:, 0]
+    out = np.concatenate([values, tail], axis=1)
+    return out if ws.ndim else out[0]
 
 
 def _gap(eigs: np.ndarray) -> float:

@@ -19,7 +19,10 @@ Proves:
      the eigenpair solver disabled.  They take W(w)'s eigenvalues from its
      planes (oracle.plane_eigenvalues): they run with every n x n builder
      disabled, on either side of 1/2 and with link failures, and no
-     driver sees a matrix of order n.
+     driver sees a matrix of order n.  A report solves each order once:
+     one Gram solve and one stack of planes for all of its weights, in
+     stacks of at most PLANE_STACK_BYTES, with the bytes of one command
+     per row for rate, link-failure and sweep-weight.
   5. Bad sizes, bad simulator settings (a period budget too short to
      measure a rate among them), a report of more rows than
      MAX_GRID_POINTS and an --out path that cannot be written end in an
@@ -704,6 +707,81 @@ def test_even_order_solves_only_half_order_blocks(monkeypatch, capsys, argv,
         (row,) = rows
         assert abs(float(row["analytic_rate"])
                    - float(row["numeric_rate"])) <= 1e-8
+
+
+def test_report_solves_each_order_once(monkeypatch, capsys):
+    # One Gram solve and one stack of 2x2 planes per order, for all nine
+    # weights: n = 100 and 102 split their even-order Gram, 101 and 103
+    # solve C C^T whole.
+    calls = []
+
+    def recorded(name):
+        driver = getattr(np.linalg, name)
+
+        def solve(m):
+            calls.append((name, m.shape))
+            return driver(m)
+        return solve
+
+    for name in ("eigvalsh", "eigvals"):
+        monkeypatch.setattr(np.linalg, name, recorded(name))
+    code, out = run_cli(capsys, *"rate --n-range 100:103 --w-grid "
+                                  "0.1:0.9:0.1".split())
+    assert code == 0
+    assert len(parse_csv(out)) == 36
+    grams = [(2, 25, 25), (50, 50), (2, 25, 25), (51, 51)]
+    assert calls == [call for gram, m1 in zip(grams, [49, 50, 50, 51])
+                     for call in (("eigvalsh", gram),
+                                  ("eigvals", (9 * m1, 2, 2)))]
+
+
+def one_value_rows(capsys, command, n_flag, ns, flag, values):
+    """The data lines of one command per (n, value), joined under one
+    header."""
+    lines = []
+    for n in ns:
+        for v in values:
+            code, out = run_cli(capsys, command, n_flag, str(n), flag,
+                                repr(v))
+            assert code == 0
+            header, row = out.splitlines()
+            lines.append(row)
+    return "\n".join([header] + lines) + "\n"
+
+
+@pytest.mark.parametrize("argv, ns, flag, values", [
+    ("rate --n-range 8:11 --w-grid 0.05:0.95:0.05", range(8, 12), "--w",
+     cli._parse_grid("0.05:0.95:0.05")),
+    ("rate --n-range 510:513 --w-grid 0.1:0.9:0.2", range(510, 514), "--w",
+     cli._parse_grid("0.1:0.9:0.2")),
+    ("link-failure --n-range 62:65 --p-grid 0:1:0.1", range(62, 66), "--p",
+     cli._parse_grid("0:1:0.1")),
+    ("sweep-weight --n 130", [130], "--w", rates.default_weight_grid()),
+], ids=["rate", "rate-largest-orders", "link-failure", "sweep-weight"])
+def test_report_by_order_is_the_bytes_of_one_value_commands(capsys, argv, ns,
+                                                            flag, values):
+    code, out = run_cli(capsys, *argv.split())
+    assert code == 0
+    command = argv.split()[0]
+    assert out == one_value_rows(capsys, command, "--n", ns, flag, values)
+
+
+def test_report_stacks_stay_within_their_byte_cap(monkeypatch, capsys):
+    # Four weights per plane_eigenvalues call at n = 64: 19 weights take
+    # five calls, with the bytes of one call.
+    argv = "rate --n 64 --w-grid 0.05:0.95:0.05".split()
+    code, whole = run_cli(capsys, *argv)
+    sizes = []
+    planes = oracle.plane_eigenvalues
+
+    def recorded(n, w):
+        sizes.append(np.size(w))
+        return planes(n, w)
+
+    monkeypatch.setattr(cli, "PLANE_STACK_BYTES", 4 * 8 * 64)
+    monkeypatch.setattr(oracle, "plane_eigenvalues", recorded)
+    assert run_cli(capsys, *argv) == (code, whole)
+    assert sizes == [4, 4, 4, 4, 3]
 
 
 # --- errors before work ----------------------------------------------------------------------

@@ -79,10 +79,21 @@ Proves:
      the dense solve of W(w) at n = 511, 512, 1000, 1999 and 2000 on both
      sides of 1/2 and at w = 0 and 1; the consensus eigenvalue 1 once and,
      at even n, the unpaired 1 - 2w once; its solves go through
-     eigenvalues(), the tridiagonal C C^T of order (n - 1) // 2 to the
-     symmetric driver and the (m1, 2, 2) planes to the general one; an
-     order outside 3..MAX_SPECTRUM_ORDER or a weight outside [0, 1] is a
-     ValueError before any solve.
+     eigenvalues(), the even-order Gram to the symmetric driver as its
+     reflection halves (C^T C at n = 0 (mod 4), C C^T at n = 2 (mod 4);
+     C C^T whole at odd n) and the (m1, 2, 2) planes to the general one;
+     an order outside 3..MAX_SPECTRUM_ORDER or a weight outside [0, 1] is
+     a ValueError before any solve.
+ 14. The Gram built from the edge lists is the bits of the dense products
+     C C^T and C^T C for n = 3..300.  At every even n up to 600 and at
+     1000, 1002, 1024 and 2000 the kept squared cosines pair with the
+     eigenvalues of C C^T within 1e-14, and at n = 0 (mod 4) the one
+     eigenvalue of C^T C dropped is below 1e-14; a Gram with no null
+     eigenvalue is a RuntimeError.  A 1-D array of weights gives, row for
+     row, the entries of the one-weight calls, from one Gram solve and
+     one stacked plane solve, at odd n and both even residues, with 0,
+     1/2 and 1 mixed in; a bad weight anywhere in it is a ValueError
+     before any solve.
 """
 import hashlib
 import math
@@ -936,7 +947,7 @@ def test_plane_eigenvalues_pair_with_the_dense_solve_at_large_n(n):
         assert spectrum_match_distance(planes, dense) <= 1e-12, (n, w)
 
 
-@pytest.mark.parametrize("n", [3, 4, 5, 8, 9, 64, 65])
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 8, 9, 64, 65, 130])
 @pytest.mark.parametrize("w", [0.3, 0.8])
 def test_plane_eigenvalues_end_with_consensus_and_the_unpaired_edge(
         monkeypatch, n, w):
@@ -949,9 +960,12 @@ def test_plane_eigenvalues_end_with_consensus_and_the_unpaired_edge(
     values = oracle.plane_eigenvalues(n, w)
     m1 = (n - 1) // 2
     assert values.shape == (n,)
-    # The tridiagonal C C^T splits into its halves where it is its own
-    # rotation (every even n with m1 even), else it is solved whole.
-    gram = (2, m1 // 2, m1 // 2) if n % 2 == 0 and m1 % 2 == 0 else (m1, m1)
+    # The even-order Gram splits into its halves: C^T C, of order n/2, at
+    # n = 0 (mod 4) and C C^T, of order n/2 - 1, at n = 2 (mod 4).  At odd
+    # n C C^T is solved whole.
+    gram = ((m1, m1) if n % 2 else
+            (2, n // 4, n // 4) if n % 4 == 0 else
+            (2, (n - 2) // 4, (n - 2) // 4))
     assert calls == [("eigvalsh", gram), ("eigvals", (m1, 2, 2))]
     tail = [1.0] + [1.0 - 2.0 * w] * (n % 2 == 0)
     assert values[2 * m1:].tolist() == tail
@@ -971,3 +985,85 @@ def test_plane_eigenvalues_reject_an_order_before_any_solve(monkeypatch, n):
 def test_plane_eigenvalues_reject_a_weight_outside_the_unit_interval(w):
     with pytest.raises(ValueError, match="gossip weight"):
         oracle.plane_eigenvalues(8, w)
+
+
+def dense_gram_block(n):
+    """C = U1^T U2 for the two matchings' unit edge vectors, as a dense
+    (m1, m2) array: -1/2 where an e1 edge and an e2 edge share a node."""
+    e1, e2 = edge_arrays(n)
+    share = (e1[:, None, :, None] == e2[None, :, None, :]).any(axis=(2, 3))
+    return np.where(share, -0.5, 0.0)
+
+
+def edge_arrays(n):
+    sched = optimal_schedule(n)
+    return np.array(sched.e1), np.array(sched.e2)
+
+
+def test_edge_gram_is_the_bits_of_the_dense_product():
+    for n in range(3, 301):
+        c = dense_gram_block(n)
+        e1, e2 = edge_arrays(n)
+        for gram, dense in ((oracle._edge_gram(e1, e2, n), c @ c.T),
+                            (oracle._edge_gram(e2, e1, n), c.T @ c)):
+            assert gram.tobytes() == dense.tobytes(), n
+
+
+def test_even_order_gram_drops_one_null_eigenvalue():
+    # At n = 0 (mod 4) the cosines come from C^T C, which has every
+    # eigenvalue of C C^T and one 0 more (C has one more column than
+    # row); at n = 2 (mod 4) from C C^T itself.  The Gram's eigenvalues
+    # are distinct, so the dropped one is the one the cosines lack.
+    worst = 0.0
+    for n in list(range(4, 601, 2)) + [1000, 1002, 1024, 2000]:
+        c = dense_gram_block(n)
+        kept = oracle._cosines_squared(n)
+        assert kept.shape == (n // 2 - 1,), n
+        if n % 4 == 0:
+            full = eigenvalues(c.T @ c)
+            (dropped,) = full[~np.isin(full, kept)]
+            worst = max(worst, abs(dropped))
+        assert spectrum_match_distance(
+            kept, np.linalg.eigvalsh(c @ c.T)) <= 1e-14, n
+    assert worst < 1e-14
+
+
+@pytest.mark.parametrize("n", [4, 8, 64])
+def test_a_gram_without_a_null_eigenvalue_is_an_error(monkeypatch, n):
+    gram = oracle._edge_gram
+    monkeypatch.setattr(oracle, "_edge_gram", lambda rows, cols, order:
+                        gram(rows, cols, order) + 1e-9 * np.eye(len(rows)))
+    with pytest.raises(RuntimeError, match="not 0 to rounding"):
+        oracle.plane_eigenvalues(n, 0.3)
+
+
+MIXED_WEIGHTS = [0.0, 0.3, 0.5, 0.8, 1.0, 0.05, 0.95, 0.5, 0.0,
+                 np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0)]
+
+
+@pytest.mark.parametrize("n", [3, 4, 6, 9, 64, 66, 511, 512])
+@pytest.mark.parametrize("ws", [MIXED_WEIGHTS, [0.0, 0.0], [1.0], [0.3, 0.8]],
+                         ids=["mixed", "zeros", "one", "both-sides"])
+def test_plane_stack_rows_are_the_entries_of_one_weight_calls(n, ws):
+    stack = oracle.plane_eigenvalues(n, np.array(ws))
+    assert stack.shape == (len(ws), n)
+    for row, w in zip(stack, ws):
+        assert (row == oracle.plane_eigenvalues(n, w)).all(), (n, w)
+
+
+def test_plane_stack_is_one_cosine_and_one_plane_solve(monkeypatch):
+    calls = record_solves(monkeypatch)
+    oracle.plane_eigenvalues(10, np.array(MIXED_WEIGHTS))
+    assert calls == [("eigvalsh", (2, 2, 2)),
+                     ("eigvals", (4 * len(MIXED_WEIGHTS), 2, 2))]
+
+
+@pytest.mark.parametrize("ws", [[0.3, 1.5], [-0.1, 0.3], [0.2, math.nan],
+                                [[0.3, 0.8]]])
+def test_plane_stack_rejects_a_bad_weight_before_any_solve(monkeypatch, ws):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("solved before the weights were checked")
+
+    monkeypatch.setattr(oracle, "eigenvalues", must_not_run)
+    with pytest.raises(ValueError, match="gossip weight"):
+        oracle.plane_eigenvalues(8, np.array(ws))
