@@ -7,9 +7,8 @@ independent numeric oracles, and a discrete-time simulator.  The layers
 pass plain numpy arrays: matrices are (n, n) float arrays and spectra are
 complex eigenvalue arrays.
 """
-from .matrices import (GossipPair, ScheduleSpec, expected_failure_matrix,
-                       optimal_schedule, pair_update_matrix,
-                       primitive_gossip_matrix)
+from .matrices import (expected_failure_matrix, optimal_schedule,
+                       pair_update_matrix, primitive_gossip_matrix)
 from .oracle import (OracleSpectrum, determinant_shifted, eigenvalues,
                      enumerate_failure_expectation, full_spectrum,
                      plane_eigenvalues, spectral_gap_numeric,
@@ -26,8 +25,8 @@ from .sim import (MonteCarloRate, SimConfig, SimResult, monte_carlo_rate,
 __version__ = "0.1.0"
 
 __all__ = [
-    "GossipPair", "ScheduleSpec", "expected_failure_matrix",
-    "optimal_schedule", "pair_update_matrix", "primitive_gossip_matrix",
+    "expected_failure_matrix", "optimal_schedule", "pair_update_matrix",
+    "primitive_gossip_matrix",
     "OracleSpectrum", "determinant_shifted", "eigenvalues",
     "enumerate_failure_expectation", "full_spectrum", "plane_eigenvalues",
     "spectral_gap_numeric", "spectrum_match_distance",

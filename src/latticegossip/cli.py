@@ -194,16 +194,11 @@ def _resolve_grid(args, name: str, default: list[float]) -> list[float]:
 # --- report rows -----------------------------------------------------------
 
 
-def _expected_weight(p: float, w: float = 0.5) -> float:
-    """The weight of the expected one-period matrix at gossip weight w and
-    link failure probability p: weighted gossip at (1-p)*w."""
-    return (1.0 - p) * w
-
-
-def _row_weight(w: float | None = None, p: float | None = None) -> float:
-    """The expected weight (1-p)*w of a report row at gossip weight w (1/2
-    when None) and link failure probability p (0 when None)."""
-    return _expected_weight(0.0 if p is None else p, 0.5 if w is None else w)
+def _expected_weight(w: float | None = None, p: float | None = None) -> float:
+    """The weight of the expected one-period matrix at gossip weight w (1/2
+    when None) and link failure probability p (0 when None): weighted
+    gossip at (1-p)*w."""
+    return (1.0 - (0.0 if p is None else p)) * (0.5 if w is None else w)
 
 
 def _numeric_rates(n: int, weights: list[float]) -> list[float | None]:
@@ -227,7 +222,7 @@ def _report_row(n: int, w: float | None = None, p: float | None = None,
     column are those of the expected one-period matrix, weighted gossip at
     (1-p)*w.  numeric is the row's cell from _numeric_rates; when None,
     the row computes its own."""
-    expected_w = _row_weight(w, p)
+    expected_w = _expected_weight(w, p)
     if numeric is None:
         (numeric,) = _numeric_rates(n, [expected_w])
     r = rates.rate_weighted(n, expected_w)
@@ -246,7 +241,7 @@ def _write_report(args, ns: list[int], name: str, values: list[float]) -> int:
                          f"values make more than {MAX_GRID_POINTS} rows")
     # The rows of one order share one numeric pass.
     cells = [{name: v} for v in values]
-    weights = [_row_weight(**cell) for cell in cells]
+    weights = [_expected_weight(**cell) for cell in cells]
     rows = [_report_row(n, **cell, numeric=numeric) for n in ns
             for cell, numeric in zip(cells, _numeric_rates(n, weights))]
     write_rows(rows, REPORT_FIELDS, args.out, args.format)
@@ -313,7 +308,7 @@ def cmd_spectrum(args) -> int:
                          f"{oracle.MAX_SPECTRUM_ORDER}, got n={n}")
     kind = "w" if args.p is None else "p"
     (value,) = _resolve_grid(args, kind, [0.5])
-    w = value if kind == "w" else _expected_weight(value)
+    w = _expected_weight(**{kind: value})
     analytic = pentadiag.analytic_eigenvalues(
         pentadiag.weighted_gossip_params(n, w))
     numeric = oracle.plane_eigenvalues(n, w).astype(complex)
@@ -341,7 +336,7 @@ def _suite_spectra(n_max: int, seed: int) -> float:
     # The w-grid plus the link-failure weights (1-p)*w at w = 1/2, each
     # solved once.
     weights = sorted(set(_parse_grid("0.05:0.95:0.05"))
-                     | {_expected_weight(p)
+                     | {_expected_weight(p=p)
                         for p in _parse_grid("0:0.9:0.1")})
     groups = ([w for w in weights if w <= 0.5],
               [w for w in weights if w > 0.5])
@@ -487,7 +482,7 @@ def _rows_fig7() -> tuple[tuple[str, ...], list[dict]]:
     # Link failure is weighted gossip at w = (1-p)/2: rate_link_failure's
     # rate, with one rates call a row.
     rows = [{"n": n, "p": p,
-             "rate": rates.rate_weighted(n, _expected_weight(p)).rate}
+             "rate": rates.rate_weighted(n, _expected_weight(p=p)).rate}
             for n in (5, 10, 15, 20) for p in _parse_grid("0:1:0.05")]
     return fields, rows
 

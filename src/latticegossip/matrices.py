@@ -1,7 +1,8 @@
 """Gossip matrices for the n-node path network.
 
 A period of the schedule activates two maximal matchings of the path: first
-every edge (2,3), (4,5), ... then every edge (1,2), (3,4), ....  The product
+every edge (2,3), (4,5), ... then every edge (1,2), (3,4), ....
+optimal_schedule states them, as integer arrays of node pairs.  The product
 of one period's pairwise averaging matrices is the primitive gossip matrix
 whose powers drive the consensus dynamics.  Every builder returns the dense
 (n, n) array itself, or for a 1-D array of k weights the (k, n, n) stack.
@@ -16,40 +17,25 @@ p*I + (1-p)*P_{1/2} is the weighted pair update at w = (1-p)/2.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple
-
 import numpy as np
 
 
-class GossipPair(NamedTuple):
-    """One communicating node pair, 1-based, adjacent on the path."""
-
-    i: int
-    j: int
-
-
-@dataclass(frozen=True)
-class ScheduleSpec:
-    """The two disjoint matchings making up one period (two rounds)."""
-
-    e1: tuple[GossipPair, ...]
-    e2: tuple[GossipPair, ...]
-
-
-def _check_pair(n: int, pair: GossipPair) -> None:
+def _check_pair(n: int, pair) -> None:
     i, j = pair
     if not (1 <= i < j <= n):
-        raise ValueError(f"pair {pair!r} out of range for n={n}")
+        raise ValueError(f"pair ({i}, {j}) out of range for n={n}")
     if j != i + 1:
-        raise ValueError(f"pair {pair!r} is not a path edge (j must be i+1)")
+        raise ValueError(f"pair ({i}, {j}) is not a path edge "
+                         f"(j must be i+1)")
 
 
-def pair_update_matrix(n: int, pair: GossipPair, w: float) -> np.ndarray:
+def pair_update_matrix(n: int, pair, w: float) -> np.ndarray:
     """Identity except the 2x2 block [[1-w, w], [w, 1-w]] at rows/cols (i, j).
 
-    w = 1/2 is the plain pairwise average; w = 1 swaps the two states and
-    w = 0 is the identity (both degenerate ends are allowed here).
+    pair is any 1-based (i, j) pair of adjacent nodes, such as a row of an
+    optimal_schedule array.  w = 1/2 is the plain pairwise average; w = 1
+    swaps the two states and w = 0 is the identity (both degenerate ends
+    are allowed here).
     """
     _check_pair(n, pair)
     if not 0.0 <= w <= 1.0:
@@ -61,18 +47,20 @@ def pair_update_matrix(n: int, pair: GossipPair, w: float) -> np.ndarray:
     return m
 
 
-def optimal_schedule(n: int) -> ScheduleSpec:
+def optimal_schedule(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Two-round periodic schedule covering every path edge exactly once.
 
-    e1 = {(2,3), (4,5), ...} and e2 = {(1,2), (3,4), ...} for every n; the
-    rounds are applied e1 first, then e2.  Two rounds are optimal because
-    the path needs two matchings to cover its edges (its chromatic index).
+    Returns (e1, e2), the rounds in the order they are applied, each an
+    (m, 2) integer array of 1-based node pairs (i, i+1) in ascending order:
+    e1 = (2,3), (4,5), ... and e2 = (1,2), (3,4), ... for every n.  Two
+    rounds are optimal because the path needs two matchings to cover its
+    edges (its chromatic index).
     """
     if n < 2:
         raise ValueError(f"need at least 2 nodes, got n={n}")
-    e1 = tuple(GossipPair(i, i + 1) for i in range(2, n, 2))
-    e2 = tuple(GossipPair(i, i + 1) for i in range(1, n, 2))
-    return ScheduleSpec(e1=e1, e2=e2)
+    e1 = np.arange(2, n, 2)[:, None] + np.arange(2)
+    e2 = np.arange(1, n, 2)[:, None] + np.arange(2)
+    return e1, e2
 
 
 def apply_period(x: np.ndarray, w) -> np.ndarray:
@@ -167,11 +155,8 @@ def primitive_gossip_matrix(n: int, w) -> np.ndarray:
         raise ValueError(f"primitive gossip matrix needs n >= 3, got n={n}")
     ws = _unit_values(w, "gossip weight")
     k = ws.size
-    # One weight takes the kernel's scalar path: the same floating-point
-    # operations, without the per-edge weight views.
     diagonals = _seed_diagonals(
-        n, k, 5, float(ws) if ws.ndim == 0 else
-        np.broadcast_to(ws.reshape(1, k, 1), (n - 1, k, 1)))
+        n, k, 5, np.broadcast_to(ws.reshape(1, k, 1), (n - 1, k, 1)))
     out = np.zeros((k, n, n))
     for offset in range(-2, 3):
         lo, hi = max(0, -offset), n - max(0, offset)

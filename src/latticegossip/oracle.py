@@ -49,7 +49,7 @@ Trans. AMS 144, 1969).  The principal cosines s are the square roots of
 the eigenvalues of C C^T, C = U1^T U2 the (m1, m2) Gram block of the two
 matchings' edge vectors, which is -1/2 where two edges share a node and 0
 elsewhere.  C is bidiagonal, so C C^T is tridiagonal, built in O(n) from
-the edge lists with the bits of the dense product, and solved by
+the schedule's pair arrays with the bits of the dense product, and solved by
 eigenvalues().  At even n both C C^T (order n/2 - 1) and C^T C (order
 n/2) equal their 180-degree rotations, and one of the two orders is even:
 n = 2 (mod 4) solves C C^T, n = 0 (mod 4) C^T C, so the solve splits into
@@ -70,10 +70,10 @@ isospectral_matrix(n, w) builds the matrix verify's spectra suite solves
 for W(w), or for an array of weights on one side of 1/2 the stack of
 them.  For w <= 1/2 that is S1(h) S2(w) S1(h) = W(h)^T W(h), of
 bandwidth 3, built in O(n) per matrix by the period kernel on seven seed
-columns: each diagonal is averaged with its mirror across the main
-diagonal and written to both sides, so it is bit-symmetric, and at even n
-each is averaged with its reverse, so it is bit-equal to its rotation and
-splits.
+columns, with h and w on the edges optimal_schedule puts in each round:
+each diagonal is averaged with its mirror across the main diagonal and
+written to both sides, so it is bit-symmetric, and at even n each is
+averaged with its reverse, so it is bit-equal to its rotation and splits.
 
 Closed-form and numeric spectra are compared by a greedy pairing: the
 closest unmatched pair first.  spectrum_pairing pairs two 1-D spectra;
@@ -87,7 +87,6 @@ distances.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -259,9 +258,8 @@ def enumerate_failure_expectation(n: int, p):
     # (n, n) @ (n, n) matmul as in a per-pattern loop.
     masks = np.arange(1 << (n - 1))
     periods = np.repeat(np.eye(n)[None], masks.size, axis=0)
-    sched = matrices.optimal_schedule(n)
-    for pair in sched.e1 + sched.e2:
-        up = np.flatnonzero((masks >> (pair.i - 1) & 1) == 0)
+    for pair in np.concatenate(matrices.optimal_schedule(n)).tolist():
+        up = np.flatnonzero((masks >> (pair[0] - 1) & 1) == 0)
         pair_stack = np.repeat(
             matrices.pair_update_matrix(n, pair, 0.5)[None],
             up.size, axis=0)
@@ -345,12 +343,13 @@ def isospectral_matrix(n: int, w) -> np.ndarray:
         raise ValueError(f"isospectral matrix needs n >= 3, got n={n}")
     k = ws.size
     h = (ws / (1.0 + np.sqrt(1.0 - 2.0 * ws))).reshape(k, 1)
-    # Per-edge weights of the two periods: h on the odd 0-based (e1) edges
-    # of both, then w on the even (e2) edges of the first and 0 on those
+    # Per-edge weights of the two periods, edge i + 1 at index i: h on the
+    # e1 edges of both, then w on the e2 edges of the first and 0 on those
     # of the second.
+    e1, e2 = matrices.optimal_schedule(n)
     periods = np.zeros((2, n - 1, k, 1))
-    periods[:, 1::2] = h
-    periods[0, 0::2] = ws.reshape(k, 1)
+    periods[:, e1[:, 0] - 1] = h
+    periods[0, e2[:, 0] - 1] = ws.reshape(k, 1)
     diagonals = matrices._seed_diagonals(n, k, 7, *periods)
     out = np.zeros((k, n, n))
     for d in range(min(4, n)):
@@ -365,8 +364,8 @@ def isospectral_matrix(n: int, w) -> np.ndarray:
 
 def _edge_gram(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
     """The Gram matrix C C^T of C[a, b] = u_a . u_b, u the unit edge
-    vectors of the (m, 2) edge lists rows and cols, two matchings of the
-    n-node path, built in O(n) plus its zero fill.
+    vectors of the (m, 2) node-pair arrays rows and cols, two matchings of
+    the n-node path, built in O(n) plus its zero fill.
 
     C is -1/2 where edge a of rows and edge b of cols share a node and 0
     elsewhere.  A node lies on at most one edge of a matching, so each end
@@ -389,11 +388,7 @@ def _cosines_squared(n: int) -> np.ndarray:
     """The m1 = (n - 1) // 2 squared principal cosines between the two
     matchings of the n-node path: the eigenvalues of the even-order Gram
     where there is one (see the module docstring)."""
-    sched = matrices.optimal_schedule(n)
-    # (m, 2) edge arrays; fromiter skips np.array's per-pair sequence
-    # inspection.
-    e1, e2 = (np.fromiter(itertools.chain.from_iterable(edges), int)
-              .reshape(-1, 2) for edges in (sched.e1, sched.e2))
+    e1, e2 = matrices.optimal_schedule(n)
     if n % 4:
         return eigenvalues(_edge_gram(e1, e2, n))
     # C^T C has C C^T's eigenvalues and one 0 more, for C's null vector.

@@ -4,7 +4,9 @@ Proves:
   1. pair_update_matrix places the averaging block exactly and validates
      its arguments.
   2. optimal_schedule emits the two path matchings (e1 first, e2 second)
-     with the documented edge sets for both parities.
+     as (m, 2) integer arrays with the documented edge sets for both
+     parities, which together cover every path edge once; a schedule row
+     is a pair pair_update_matrix takes.
   3. primitive_gossip_matrix reproduces the hand-computed w=1/2 matrices
      for n=3 and n=4 and the 1-w top corner for general w.
   4. All three matrix families are doubly stochastic, nonnegative,
@@ -20,9 +22,8 @@ Proves:
 import numpy as np
 import pytest
 
-from latticegossip.matrices import (GossipPair, expected_failure_matrix,
-                                    optimal_schedule, pair_update_matrix,
-                                    primitive_gossip_matrix)
+from latticegossip.matrices import (expected_failure_matrix, optimal_schedule,
+                                    pair_update_matrix, primitive_gossip_matrix)
 from latticegossip.oracle import (enumerate_failure_expectation,
                                   full_spectrum, spectrum_match_distance)
 from latticegossip.pentadiag import (link_failure_params, penta_matrix,
@@ -32,18 +33,18 @@ from latticegossip.pentadiag import (link_failure_params, penta_matrix,
 
 
 def test_pair_update_plain_average_two_nodes():
-    m = pair_update_matrix(2, GossipPair(1, 2), 0.5)
+    m = pair_update_matrix(2, (1, 2), 0.5)
     assert type(m) is np.ndarray
     assert np.array_equal(m, [[0.5, 0.5], [0.5, 0.5]])
 
 
 def test_pair_update_w_one_is_a_swap():
-    m = pair_update_matrix(3, GossipPair(1, 2), 1.0)
+    m = pair_update_matrix(3, (1, 2), 1.0)
     assert np.array_equal(m, [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
 
 
 def test_pair_update_block_placement():
-    m = pair_update_matrix(3, GossipPair(2, 3), 0.3)
+    m = pair_update_matrix(3, (2, 3), 0.3)
     expected = [[1.0, 0.0, 0.0], [0.0, 0.7, 0.3], [0.0, 0.3, 0.7]]
     assert np.allclose(m, expected, atol=0, rtol=0)
     assert m[0, 0] == 1.0
@@ -52,45 +53,57 @@ def test_pair_update_block_placement():
 @pytest.mark.parametrize("pair", [(0, 1), (1, 3), (3, 4), (2, 2)])
 def test_pair_update_rejects_bad_pairs(pair):
     with pytest.raises(ValueError):
-        pair_update_matrix(3, GossipPair(*pair), 0.5)
+        pair_update_matrix(3, pair, 0.5)
 
 
 def test_pair_update_rejects_bad_weight():
     with pytest.raises(ValueError):
-        pair_update_matrix(3, GossipPair(1, 2), 1.5)
+        pair_update_matrix(3, (1, 2), 1.5)
 
 
 # --- schedule ---------------------------------------------------------------
 
 
 def test_schedule_even():
-    s = optimal_schedule(4)
-    assert s.e1 == (GossipPair(2, 3),)
-    assert s.e2 == (GossipPair(1, 2), GossipPair(3, 4))
+    e1, e2 = optimal_schedule(4)
+    assert e1.tolist() == [[2, 3]]
+    assert e2.tolist() == [[1, 2], [3, 4]]
 
 
 def test_schedule_two_nodes():
-    s = optimal_schedule(2)
-    assert s.e1 == ()
-    assert s.e2 == (GossipPair(1, 2),)
+    e1, e2 = optimal_schedule(2)
+    assert e1.shape == (0, 2)
+    assert e2.tolist() == [[1, 2]]
 
 
 def test_schedule_odd():
     # Odd n uses the same two matchings as even n; the product test below
     # confirms this is the labeling that reproduces the one-period matrix.
-    s = optimal_schedule(5)
-    assert s.e1 == (GossipPair(2, 3), GossipPair(4, 5))
-    assert s.e2 == (GossipPair(1, 2), GossipPair(3, 4))
+    e1, e2 = optimal_schedule(5)
+    assert e1.tolist() == [[2, 3], [4, 5]]
+    assert e2.tolist() == [[1, 2], [3, 4]]
 
 
-@pytest.mark.parametrize("n", range(2, 20))
+@pytest.mark.parametrize("n", range(2, 201))
 def test_schedule_partitions_all_edges(n):
-    s = optimal_schedule(n)
-    edges = [tuple(e) for e in s.e1 + s.e2]
-    assert sorted(edges) == [(i, i + 1) for i in range(1, n)]
-    for matching in (s.e1, s.e2):
-        nodes = [v for e in matching for v in e]
-        assert len(nodes) == len(set(nodes))
+    e1, e2 = optimal_schedule(n)
+    assert e1.shape == ((n - 1) // 2, 2)
+    assert e2.shape == (n // 2, 2)
+    for matching in (e1, e2):
+        assert type(matching) is np.ndarray
+        assert np.issubdtype(matching.dtype, np.integer)
+        # A matching: no node on two of its edges; edges in path order.
+        assert np.unique(matching).size == matching.size
+        assert (np.diff(matching[:, 0]) > 0).all()
+    edges = np.concatenate([e1, e2]).tolist()
+    assert sorted(edges) == [[i, i + 1] for i in range(1, n)]
+
+
+def test_pair_update_takes_a_schedule_row():
+    row = optimal_schedule(5)[0][1]
+    assert isinstance(row[0], np.integer)
+    assert np.array_equal(pair_update_matrix(5, row, 0.3),
+                          pair_update_matrix(5, (4, 5), 0.3))
 
 
 def test_schedule_rejects_tiny_n():
@@ -216,7 +229,6 @@ def test_failure_matches_exhaustive_enumeration(n):
 @pytest.mark.parametrize("n", [4, 5, 9, 14, 20])
 def test_both_product_orders_share_the_spectrum(n):
     w = 0.7
-    sched = optimal_schedule(n)
 
     def round_product(pairs):
         m = np.eye(n)
@@ -224,7 +236,7 @@ def test_both_product_orders_share_the_spectrum(n):
             m = pair_update_matrix(n, pair, w) @ m
         return m
 
-    s1, s2 = round_product(sched.e1), round_product(sched.e2)
+    s1, s2 = (round_product(pairs) for pairs in optimal_schedule(n))
     eigs_a = full_spectrum(s2 @ s1).eigenvalues
     eigs_b = full_spectrum(s1 @ s2).eigenvalues
     assert spectrum_match_distance(eigs_a, eigs_b) < 1e-8

@@ -69,8 +69,8 @@ Proves:
      and doubly stochastic within 1e-12, and a stack is the bytes of its
      per-weight calls; the optimal weight 4 ulps either side, which lies
      above 1/2, gives W(w) itself.  A bad weight anywhere in the input is
-     rejected before anything is built, and an order below 3 on either
-     side of 1/2.
+     rejected before anything is built or the schedule is read, and an
+     order below 3 on either side of 1/2.
  12. The residual over the reflection halves stays below 1e-13 at n = 128
      to 512 on both sides of 1/2, and full_spectrum's eigenvalues pair with
      eigenvalues()' within 1e-12.
@@ -84,7 +84,7 @@ Proves:
      C C^T whole at odd n) and the (m1, 2, 2) planes to the general one;
      an order outside 3..MAX_SPECTRUM_ORDER or a weight outside [0, 1] is
      a ValueError before any solve.
- 14. The Gram built from the edge lists is the bits of the dense products
+ 14. The Gram built from the edge arrays is the bits of the dense products
      C C^T and C^T C for n = 3..300.  At every even n up to 600 and at
      1000, 1002, 1024 and 2000 the kept squared cosines pair with the
      eigenvalues of C C^T within 1e-14, and at n = 0 (mod 4) the one
@@ -94,6 +94,9 @@ Proves:
      one stacked plane solve, at odd n and both even residues, with 0,
      1/2 and 1 mixed in; a bad weight anywhere in it is a ValueError
      before any solve.
+ 15. plane_eigenvalues, enumerate_failure_expectation and
+     isospectral_matrix below 1/2 each take the schedule from
+     matrices.optimal_schedule, once a call, for one weight or a stack.
 """
 import hashlib
 import math
@@ -358,10 +361,10 @@ def per_mask_expectation(n, p):
     """The enumeration one failure pattern at a time: bit k of the mask
     fails path edge (k+1, k+2), and the pair matrices multiply in schedule
     order."""
-    sched = optimal_schedule(n)
+    schedule = [tuple(pair)
+                for pair in np.concatenate(optimal_schedule(n)).tolist()]
     edges = [(i, i + 1) for i in range(1, n)]
-    pair_mats = {pair: pair_update_matrix(n, pair, 0.5)
-                 for pair in sched.e1 + sched.e2}
+    pair_mats = {pair: pair_update_matrix(n, pair, 0.5) for pair in schedule}
     total = np.zeros((n, n))
     for mask in range(1 << (n - 1)):
         failed = {edges[k] for k in range(n - 1) if mask >> k & 1}
@@ -369,8 +372,8 @@ def per_mask_expectation(n, p):
         if weight == 0.0:
             continue
         period = np.eye(n)
-        for pair in sched.e1 + sched.e2:
-            if tuple(pair) not in failed:
+        for pair in schedule:
+            if pair not in failed:
                 period = pair_mats[pair] @ period
         total += weight * period
     return total
@@ -708,7 +711,7 @@ def test_band_weights_are_checked_before_any_build(monkeypatch, value):
         raise AssertionError("built before every weight was checked")
 
     for name in ("primitive_gossip_matrix", "apply_period",
-                 "_seed_diagonals", "_write_diagonal"):
+                 "_seed_diagonals", "_write_diagonal", "optimal_schedule"):
         monkeypatch.setattr(matrices, name, must_not_run)
     with pytest.raises(ValueError, match="must lie in|must be a scalar|"
                                          "one side of 1/2"):
@@ -990,20 +993,15 @@ def test_plane_eigenvalues_reject_a_weight_outside_the_unit_interval(w):
 def dense_gram_block(n):
     """C = U1^T U2 for the two matchings' unit edge vectors, as a dense
     (m1, m2) array: -1/2 where an e1 edge and an e2 edge share a node."""
-    e1, e2 = edge_arrays(n)
+    e1, e2 = optimal_schedule(n)
     share = (e1[:, None, :, None] == e2[None, :, None, :]).any(axis=(2, 3))
     return np.where(share, -0.5, 0.0)
-
-
-def edge_arrays(n):
-    sched = optimal_schedule(n)
-    return np.array(sched.e1), np.array(sched.e2)
 
 
 def test_edge_gram_is_the_bits_of_the_dense_product():
     for n in range(3, 301):
         c = dense_gram_block(n)
-        e1, e2 = edge_arrays(n)
+        e1, e2 = optimal_schedule(n)
         for gram, dense in ((oracle._edge_gram(e1, e2, n), c @ c.T),
                             (oracle._edge_gram(e2, e1, n), c.T @ c)):
             assert gram.tobytes() == dense.tobytes(), n
@@ -1035,6 +1033,30 @@ def test_a_gram_without_a_null_eigenvalue_is_an_error(monkeypatch, n):
                         gram(rows, cols, order) + 1e-9 * np.eye(len(rows)))
     with pytest.raises(RuntimeError, match="not 0 to rounding"):
         oracle.plane_eigenvalues(n, 0.3)
+
+
+@pytest.mark.parametrize("read, n, x", [
+    (oracle.plane_eigenvalues, 9, 0.3),
+    (oracle.plane_eigenvalues, 12, np.array([0.3, 0.8])),
+    (enumerate_failure_expectation, 6, 0.2),
+    (enumerate_failure_expectation, 7, np.array([0.0, 0.5, 1.0])),
+    (isospectral_matrix, 9, 0.3),
+    (isospectral_matrix, 8, np.array([0.0, 0.1, 0.5]))],
+    ids=["planes", "plane-stack", "enumeration", "enumeration-stack",
+         "band", "band-stack"])
+def test_each_reader_takes_the_schedule_once_a_call(monkeypatch, read, n, x):
+    # matrices.optimal_schedule is the one statement of which edges form a
+    # round: each oracle reader asks it once a call, for its own order.
+    calls = []
+    schedule = matrices.optimal_schedule
+
+    def recorder(order):
+        calls.append(order)
+        return schedule(order)
+
+    monkeypatch.setattr(matrices, "optimal_schedule", recorder)
+    read(n, x)
+    assert calls == [n]
 
 
 MIXED_WEIGHTS = [0.0, 0.3, 0.5, 0.8, 1.0, 0.05, 0.95, 0.5, 0.0,

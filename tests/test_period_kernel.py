@@ -47,12 +47,11 @@ from latticegossip.sim import SimConfig, monte_carlo_rate
 
 def dense_period(n, weights):
     """S2 @ S1 from explicit pair_update_matrix products, weights per edge."""
-    sched = optimal_schedule(n)
     rounds = []
-    for matching in (sched.e1, sched.e2):
+    for matching in optimal_schedule(n):
         m = np.eye(n)
-        for pair in matching:
-            m = pair_update_matrix(n, pair, weights[pair.i - 1]) @ m
+        for i, j in matching.tolist():
+            m = pair_update_matrix(n, (i, j), weights[i - 1]) @ m
         rounds.append(m)
     return rounds[1] @ rounds[0]
 

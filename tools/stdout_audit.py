@@ -1,0 +1,64 @@
+"""Fingerprint the output of a fixed list of CLI commands.
+
+Runs each command below as `python -m latticegossip ...` with the caller's
+environment (PYTHONPATH included, so it picks the tree to audit) and prints
+one line per command:
+
+    sha256(stdout + stderr)  exit-code  command
+
+Two trees print the same lines exactly when every command gives them the
+same bytes and exit code.  To compare a change with its parent, run the
+script once against each tree's `src` and diff the two outputs:
+
+    PYTHONPATH=<parent checkout>/src python tools/stdout_audit.py > parent.txt
+    PYTHONPATH=src python tools/stdout_audit.py > head.txt
+    diff parent.txt head.txt
+
+The script exits 1 if a command crashed (a traceback) or was refused as a
+usage error (exit code 2); a `verify` FAIL, exit code 1, is output like any
+other.
+"""
+from __future__ import annotations
+
+import hashlib
+import shlex
+import subprocess
+import sys
+
+COMMANDS = [
+    "rate --n 512 --w-grid 0.05:0.95:0.05",
+    "rate --n-range 3:60 --w-grid 0.05:0.95:0.05",
+    "link-failure --n-range 3:60",
+    "link-failure --n 416 --p-grid 0:1:0.1",
+    "sweep-weight --n 224",
+    "sweep-n --n-range 100:140 --w 0.8",
+    "spectrum --n 320 --w 0.8",
+    "spectrum --n 321 --p 0.3",
+    "spectrum --n 64 --w 0.5",
+    "spectrum --n 2000 --w 0.3",
+    "spectrum --n 1999 --p 1",
+    "simulate --n 6 --w 0.5 --p 0.3 --seed 7 --trials 20",
+    "simulate --n 17 --w 0.2 --p 0.5 --seed 11 --trials 5",
+    "verify --n-max 20 --seed 0",
+    "verify --n-max 33 --seed 7",
+    "verify --n-max 47 --seed 3",
+    "verify --n-max 60 --seed 1825750039",
+    "verify --scope spectra --n-max 150",
+] + [f"reproduce --target {target}" for target in
+     ("table1", "table2", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7")]
+
+
+def main() -> int:
+    crashed = False
+    for command in COMMANDS:
+        run = subprocess.run(
+            [sys.executable, "-m", "latticegossip", *shlex.split(command)],
+            capture_output=True)
+        digest = hashlib.sha256(run.stdout + run.stderr).hexdigest()
+        print(f"{digest}  {run.returncode}  {command}", flush=True)
+        crashed |= run.returncode >= 2 or b"Traceback" in run.stderr
+    return 1 if crashed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
