@@ -24,23 +24,21 @@ REPORT_FIELDS = ("n", "w", "p", "analytic_rate", "numeric_rate",
 # cross-check column (one oracle.plane_eigenvalues call per order).
 NUMERIC_RATE_MAX_N = 512
 
-# Most bytes of (k, n) eigenvalue rows (8 n each) one plane_eigenvalues
-# call of a report returns: 256 weights at n = 512, so every grid up to
-# that size takes one call per order, while the call's temporaries, a few
-# times its output, stay a few MiB however long the grid.
-PLANE_STACK_BYTES = 1 << 20
+# Most bytes of one stacked oracle call's main array (see _stacks).  A
+# report's plane_eigenvalues call returns (k, n) eigenvalue rows, 8 n bytes
+# each: 256 weights at n = 512, so every grid up to that size takes one
+# call per order, while the call's temporaries, a few times its output,
+# stay a few MiB however long the grid.  verify's spectra suite solves
+# stacks of n x n matrices, 8 n^2 bytes each, in two groups per order, its
+# 13 weights w <= 1/2 and its 9 above: a whole group fits in one stack up
+# to n = 100 (w <= 1/2) and 120 (w > 1/2), so the per-call cost is paid
+# twice per order; from n = 257 each matrix is solved alone, so peak memory
+# at large n stays that of one solve.
+STACK_BYTES = 1 << 20
 
 # Most points a --*-range or --*-grid argument may expand to, and most rows
 # a report may have; each count is checked before the work it bounds.
 MAX_GRID_POINTS = 1_000_000
-
-# Most bytes of n x n matrices (8 n^2 each) verify's spectra suite passes
-# to one stacked eigensolve.  Each order is solved in two groups, its 13
-# weights w <= 1/2 and its 9 above.  A whole group fits in one stack up to
-# n = 100 (w <= 1/2) and 120 (w > 1/2), so the per-call cost is paid twice
-# per order; from n = 257 each matrix is solved alone, so peak memory at
-# large n stays that of one solve.
-SPECTRA_STACK_BYTES = 1 << 20
 
 # Reference values reproduced by the table2 target, keyed by n.  The rows
 # marked inconsistent disagree with the closed form by roughly an order of
@@ -201,17 +199,23 @@ def _expected_weight(w: float | None = None, p: float | None = None) -> float:
     return (1.0 - (0.0 if p is None else p)) * (0.5 if w is None else w)
 
 
+def _stacks(values: list[float], item_bytes: int):
+    """values, in order, as consecutive arrays of at most
+    max(1, STACK_BYTES // item_bytes) entries."""
+    per_stack = max(1, STACK_BYTES // item_bytes)
+    for i in range(0, len(values), per_stack):
+        yield np.array(values[i:i + per_stack])
+
+
 def _numeric_rates(n: int, weights: list[float]) -> list[float | None]:
     """The numeric_rate cells of report rows of order n at the given
     expected weights: 1 - |lambda_2| of each row of one
-    oracle.plane_eigenvalues call per PLANE_STACK_BYTES of its output, or
-    None above NUMERIC_RATE_MAX_N."""
+    oracle.plane_eigenvalues call per STACK_BYTES of its output, or None
+    above NUMERIC_RATE_MAX_N."""
     if n > NUMERIC_RATE_MAX_N:
         return [None] * len(weights)
-    per_stack = max(1, PLANE_STACK_BYTES // (8 * n))
-    return [oracle._gap(eigs) for i in range(0, len(weights), per_stack)
-            for eigs in oracle.plane_eigenvalues(
-                n, np.array(weights[i:i + per_stack]))]
+    return [oracle._gap(eigs) for chunk in _stacks(weights, 8 * n)
+            for eigs in oracle.plane_eigenvalues(n, chunk)]
 
 
 def _report_row(n: int, w: float | None = None, p: float | None = None,
@@ -344,11 +348,9 @@ def _suite_spectra(n_max: int, seed: int) -> float:
     for n in range(3, n_max + 1):
         # The dense reference, oracle.isospectral_matrix.  A group (the
         # weights on one side of 1/2, where that matrix switches) is solved
-        # in stacks of at most SPECTRA_STACK_BYTES.
-        per_stack = max(1, SPECTRA_STACK_BYTES // (8 * n * n))
+        # in stacks of at most STACK_BYTES.
         for group in groups:
-            for i in range(0, len(group), per_stack):
-                chunk = np.array(group[i:i + per_stack])
+            for chunk in _stacks(group, 8 * n * n):
                 stack = oracle.isospectral_matrix(n, chunk)
                 nums = oracle.full_spectrum(stack).eigenvalues
                 anas = pentadiag.analytic_eigenvalues(

@@ -27,18 +27,17 @@ enumerate_failure_expectation takes an array of failure probabilities: it
 builds the 2^(n-1) failure-pattern products once and weights and sums them
 for each p, every entry with the bits of its own one-p call.
 
-Both solvers split before they solve.  A matrix W of even order n that is
-bit-equal to its 180-degree rotation J W J (J the reversal) has the block
+Both solvers solve reflection_halves() of their input, the one place the
+split is decided: a matrix of even order bit-equal to its 180-degree
+rotation, or a stack of which every matrix is, splits, and any other input
+is solved whole.  Such a W, rotation J W J (J the reversal), has the block
 form [[A, B], [J B J, J A J]], and the orthogonal
-Q = [[I, I], [J, -J]] / sqrt(2) gives Q^T W Q = diag(A + B J, A - B J).
-reflection_halves() returns those two blocks of order n/2, and the solvers
-solve them, as one (2, n/2, n/2) stack, in place of W: two general solves
-of half the order cost about a quarter of one.  A matrix's row of
-eigenvalues lists A + B J's first, then A - B J's.  A stack splits into its
-halves only if every matrix in it does, and is otherwise solved whole, as
-is any other input.  The split is plain linear algebra (Cantoni and
-Butler, Linear Algebra Appl. 13, 1976) and uses nothing of the closed
-forms.
+Q = [[I, I], [J, -J]] / sqrt(2) gives Q^T W Q = diag(A + B J, A - B J), two
+blocks of order n/2 solved as one (2, n/2, n/2) stack in place of W: two
+general solves of half the order cost about a quarter of one.  A matrix's
+row of eigenvalues lists A + B J's first, then A - B J's.  The split is
+plain linear algebra (Cantoni and Butler, Linear Algebra Appl. 13, 1976)
+and uses nothing of the closed forms.
 
 plane_eigenvalues(n, w) gives W(w)'s eigenvalues without an n x n matrix.
 Each round is S_k = I - 2w P_k, P_k the orthogonal projection onto the
@@ -142,12 +141,11 @@ def _as_matrices(a) -> np.ndarray:
 def _solve(a, solver):
     """The eigenvalues of a, as m (see _as_matrices), in the shape of m
     less its last axis, and the extra, from solver(block) =
-    (eigenvalues, extra) on the one block solved: m's reflection halves
-    where m splits, else m itself.  A convergence failure names m by a
-    sha256 prefix."""
+    (eigenvalues, extra) on reflection_halves(m).  A convergence failure
+    names m by a sha256 prefix."""
     m = _as_matrices(a)
     try:
-        values, extra = solver(_halves(m) if _splits(m) else m)
+        values, extra = solver(reflection_halves(m))
     except np.linalg.LinAlgError as exc:
         import hashlib  # only on this path: keeps package import fast
         n = m.shape[-1]
@@ -171,10 +169,15 @@ def _eigvals(m: np.ndarray):
 
 
 def _eig(m: np.ndarray):
-    """m's eigenvalues and _residual: its eigenvectors go with this call."""
+    """m's eigenvalues and the largest relative eigenpair defect
+    |A v - lam v| / ||A||_F of its matrices, each against its own norm:
+    its eigenvectors go with this call."""
     solve = np.linalg.eigh if _symmetric(m) else np.linalg.eig
     values, vectors = solve(m)
-    return values, _residual(m, values, vectors)
+    defects = np.linalg.norm(m @ vectors - vectors * values[..., None, :],
+                             axis=-2)
+    scale = np.maximum(np.linalg.norm(m, axis=(-2, -1)), 1e-300)
+    return values, float((defects.max(axis=-1) / scale).max())
 
 
 def eigenvalues(a) -> np.ndarray:
@@ -209,26 +212,6 @@ def full_spectrum(a) -> OracleSpectrum:
     """
     values, residual = _solve(a, _eig)
     return OracleSpectrum(eigenvalues=values, residual=residual)
-
-
-def _residual(m: np.ndarray, values: np.ndarray, vectors: np.ndarray) -> float:
-    """The largest relative eigenpair defect |A v - lam v| / ||A||_F of the
-    matrix or stack m, solved as (values, vectors)."""
-    # The whole stack in one pass, in real arithmetic: complex vectors and
-    # defects are handled as their real views, whose columns alternate real
-    # and imaginary parts.  Working in place keeps the product the pass's
-    # one temporary the size of the vectors.
-    vectors = np.ascontiguousarray(vectors)
-    defect = (m @ vectors.view(float)).view(vectors.dtype)
-    vectors *= values[..., None, :]
-    defect -= vectors
-    del vectors
-    parts = defect.view(float)
-    np.square(parts, out=parts)
-    # Each column's sum of its entries' squared real and imaginary parts.
-    norms = np.sqrt(parts.reshape(defect.shape + (-1,)).sum(axis=(-3, -1)))
-    scale = np.maximum(np.linalg.norm(m, axis=(-2, -1)), 1e-300)
-    return float((norms.max(axis=-1) / scale).max())
 
 
 def enumerate_failure_expectation(n: int, p):
@@ -293,18 +276,9 @@ def reflection_halves(a) -> np.ndarray:
     input's order, not to the halves'.
     """
     m = _as_matrices(a)
-    return _halves(m) if _splits(m) else m
-
-
-def _splits(m: np.ndarray) -> bool:
-    """Whether m (every matrix of a stack) has even order and is bit-equal
-    to its 180-degree rotation."""
-    return m.shape[-1] % 2 == 0 and np.array_equal(m, m[..., ::-1, ::-1])
-
-
-def _halves(m: np.ndarray) -> np.ndarray:
-    """reflection_halves of m, which splits."""
-    h = m.shape[-1] // 2
+    h, odd = divmod(m.shape[-1], 2)
+    if odd or not np.array_equal(m, m[..., ::-1, ::-1]):
+        return m
     top, bj = m[..., :h, :h], m[..., :h, h:][..., ::-1]
     return np.stack([top + bj, top - bj], axis=-3).reshape(-1, h, h)
 

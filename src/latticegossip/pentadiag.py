@@ -35,6 +35,8 @@ from functools import cached_property
 
 import numpy as np
 
+from . import matrices
+
 _REL_TOL = 1e-12
 
 
@@ -105,13 +107,12 @@ def weighted_gossip_params(n: int, w) -> PentaParams:
 
     w may also be a 1-D array of weights: every field but n is then the
     array of its values, one entry per weight, for analytic_eigenvalues to
-    solve in one pass.  Each entry has the bits of the scalar call.
+    solve in one pass.  Each entry has the bits of the scalar call.  Every
+    weight must lie in [0, 1].
     """
-    if np.ndim(w):
-        w = np.asarray(w, dtype=float)
-        if w.ndim != 1:
-            raise ValueError(f"weights must be a scalar or a 1-D array, got "
-                             f"shape {w.shape}")
+    ws = matrices._unit_values(w, "gossip weight")
+    if ws.ndim:
+        w = ws
         # numpy squares an array by multiplication but a scalar by libm's
         # pow, and the two round about one square in a thousand apart
         # (w = 0.958203739894623 among them): each entry takes the pow.
@@ -125,8 +126,10 @@ def weighted_gossip_params(n: int, w) -> PentaParams:
 def link_failure_params(n: int, p: float) -> PentaParams:
     """Parameters whose realized matrix is expected_failure_matrix(n, p).
 
-    Link failure at probability p is weighted gossip at w = (1-p)/2.
+    Link failure at probability p is weighted gossip at w = (1-p)/2.  p,
+    or every entry of an array of them, must lie in [0, 1].
     """
+    matrices._unit_values(p, "failure probability")
     return weighted_gossip_params(n, (1.0 - p) / 2.0)
 
 

@@ -126,9 +126,10 @@ def monte_carlo_rate(config: SimConfig, trials: int) -> MonteCarloRate:
 
     Each trial uses its own derived random stream (covering both the
     initial vector and the failure draws), so the full experiment is
-    reproducible from config.seed.  Trials that converge too fast to
-    measure a rate (fewer than 4 periods) are dropped from the average, so
-    a budget of fewer than 4 periods is rejected before any trial runs.
+    reproducible from config.seed.  Trials that give no rate (fewer than 4
+    periods, or a disagreement of exactly 0 in the trace's tail, see
+    _empirical_rate) are dropped from the average, so a budget of fewer
+    than 4 periods is rejected before any trial runs.
     """
     if trials < 1:
         raise ValueError(f"need at least 1 trial, got {trials}")
@@ -145,8 +146,8 @@ def monte_carlo_rate(config: SimConfig, trials: int) -> MonteCarloRate:
             rates.append(result.empirical_rate)
     if not rates:
         raise RuntimeError(
-            "no trial ran long enough to measure a rate "
-            "(all converged in under 4 periods)")
+            "no trial gave a measurable rate (each converged in under 4 "
+            "periods or reached a disagreement of exactly 0)")
     mean = sum(rates) / len(rates)
     if len(rates) > 1:
         var = sum((r - mean) ** 2 for r in rates) / (len(rates) - 1)

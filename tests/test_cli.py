@@ -21,19 +21,20 @@ Proves:
      disabled, on either side of 1/2 and with link failures, and no
      driver sees a matrix of order n.  A report solves each order once:
      one Gram solve and one stack of planes for all of its weights, in
-     stacks of at most PLANE_STACK_BYTES, with the bytes of one command
+     stacks of at most STACK_BYTES, with the bytes of one command
      per row for rate, link-failure and sweep-weight.
   5. Bad sizes, bad simulator settings (a period budget too short to
      measure a rate among them), a report of more rows than
      MAX_GRID_POINTS and an --out path that cannot be written end in an
      error: line before any row is computed, never in a traceback.  A
-     simulation that runs out of memory ends in an error: line too.
+     simulation that runs out of memory ends in an error: line too, and
+     so does one whose every trial is dropped, naming both causes.
   6. verify's stacked suites return the float of a one-matrix-at-a-time
      loop (one weight and one p at a time for the closed form and the
      enumeration), and an --n-max the spectra suite cannot solve is an
      error: line before any suite runs.  The spectra suite passes full_spectrum the
      matrices oracle.isospectral_matrix builds, in stacks of at
-     most SPECTRA_STACK_BYTES at 8 n^2 bytes a matrix; the solver splits
+     most STACK_BYTES at 8 n^2 bytes a matrix; the solver splits
      each even-order stack into its halves and sends symmetric ones to the
      symmetric driver; the suite pairs each solved stack with its closed
      form in one spectrum_match_distance call; and the suite's eigenvalues
@@ -522,7 +523,7 @@ def test_spectra_stacks_stay_within_their_byte_cap(monkeypatch):
     # solve.
     looped = looped_spectra(30, 0)
     cap = 5 * 8 * 12 * 12
-    monkeypatch.setattr(cli, "SPECTRA_STACK_BYTES", cap)
+    monkeypatch.setattr(cli, "STACK_BYTES", cap)
     solves = record_suite_solves(monkeypatch)
     assert cli._suite_spectra(30, 0) == looped
     for n in range(3, 31):
@@ -778,7 +779,7 @@ def test_report_stacks_stay_within_their_byte_cap(monkeypatch, capsys):
         sizes.append(np.size(w))
         return planes(n, w)
 
-    monkeypatch.setattr(cli, "PLANE_STACK_BYTES", 4 * 8 * 64)
+    monkeypatch.setattr(cli, "STACK_BYTES", 4 * 8 * 64)
     monkeypatch.setattr(oracle, "plane_eigenvalues", recorded)
     assert run_cli(capsys, *argv) == (code, whole)
     assert sizes == [4, 4, 4, 4, 3]
@@ -814,6 +815,16 @@ def test_bad_size_or_setting_is_an_error_line(monkeypatch, argv):
     monkeypatch.setattr(cli, "_report_row", must_not_run)
     monkeypatch.setattr(cli.sim, "_run", must_not_run)
     assert error_exit(argv.split()).startswith("error:")
+
+
+def test_simulation_without_a_rate_names_both_causes():
+    # The one trial runs 271 periods to a disagreement of exactly 0.
+    message = error_exit(
+        "simulate --n 5 --w 0.5 --p 0.5 --seed 0 --max-periods 100000000 "
+        "--trials 1 --tolerance 1e-300".split())
+    assert message.startswith("error:")
+    assert "under 4 periods" in message
+    assert "disagreement of exactly 0" in message
 
 
 def test_simulation_out_of_memory_is_an_error_line(monkeypatch):

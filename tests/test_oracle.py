@@ -60,8 +60,9 @@ Proves:
      gives bit-symmetric halves that reach the symmetric driver;
      isospectral_matrix below 1/2 is bit-equal to its rotation at every
      even n up to 520, so it always splits; the order limit applies to
-     the caller's order, not the halves'; and an empty matrix or stack is
-     a ValueError.
+     the caller's order, not the halves'; an empty matrix or stack is
+     a ValueError; and the one block either solver hands the driver is
+     reflection_halves of its input, byte for byte.
  11. The w <= 1/2 matrix built from seven seed columns: at every n from 3
      to 600 and at 1000 and 2000, for 0, 1e-300, verify's low weights, and
      1/2 and the float 4 ulps below it, it is bit-symmetric, bit-equal to
@@ -878,6 +879,34 @@ def test_a_stack_splits_only_if_every_matrix_does(monkeypatch, entry, mixed):
     else:
         for row, ref in zip(values, whole):
             assert spectrum_match_distance(row, ref) <= 1e-13
+
+
+@pytest.mark.parametrize("a", [
+    primitive_gossip_matrix(12, 0.8),
+    isospectral_matrix(10, np.array(LOW_WEIGHTS)),
+    primitive_gossip_matrix(9, 0.8),
+    isospectral_matrix(9, np.array(LOW_WEIGHTS)),
+], ids=["even-W", "even-stack", "odd-W", "odd-stack"])
+@pytest.mark.parametrize("entry", [eigenvalues, full_spectrum])
+def test_the_driver_solves_the_reflection_halves_byte_for_byte(monkeypatch,
+                                                               entry, a):
+    blocks = []
+
+    def recorded(name):
+        solver = getattr(np.linalg, name)
+
+        def solve(m):
+            blocks.append(m.copy())
+            return solver(m)
+        return solve
+
+    for name in ("eigvalsh", "eigvals", "eigh", "eig"):
+        monkeypatch.setattr(np.linalg, name, recorded(name))
+    entry(a)
+    (block,) = blocks
+    halves = reflection_halves(a)
+    assert block.shape == halves.shape
+    assert block.tobytes() == halves.tobytes()
 
 
 @pytest.mark.parametrize("entry", [eigenvalues, full_spectrum])

@@ -23,7 +23,11 @@ Proves:
   6. second_largest_modulus extracts the subdominant modulus, insists on
      the presence of the consensus eigenvalue, and rejects a stack of
      spectra rather than reading it as one.
+  7. weighted_gossip_params and link_failure_params reject a weight or
+     probability outside [0, 1], or NaN, as a scalar or in an array.
 """
+import math
+
 import numpy as np
 import pytest
 
@@ -386,3 +390,16 @@ def test_second_largest_modulus_rejects_a_stack_of_spectra():
         pytest.approx([rate_weighted(8, w).lambda2_modulus
                        for w in (0.3, 0.8)], abs=1e-12)
 
+
+# --- parameter checks -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("bad", [-0.1, 1.5, math.nan])
+@pytest.mark.parametrize("as_array", [False, True], ids=["scalar", "array"])
+@pytest.mark.parametrize("params", [weighted_gossip_params,
+                                    link_failure_params])
+def test_closed_form_parameters_reject_an_impossible_value(params, as_array,
+                                                           bad):
+    value = np.array([0.3, bad]) if as_array else bad
+    with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+        params(5, value)

@@ -12,7 +12,9 @@ Proves:
      streams never shift when the trial count changes, a single trial has
      zero standard error, and the p = 0 ensemble mean lands within three
      standard errors of the closed form.  A period budget too short to
-     measure a rate is rejected before any trial runs.
+     measure a rate is rejected before any trial runs, and a run whose
+     every trial is dropped says why: too short, or an exact-zero
+     disagreement.
   5. With failing links the ensemble mean lands near the expected-matrix
      rate; the residual bias of the random process against that averaged
      proxy stays below eight percent and is reported for inspection.
@@ -180,6 +182,22 @@ def test_monte_carlo_rejects_a_budget_too_short_for_a_rate(monkeypatch):
     config = SimConfig(n=40, w=0.5, p=0.0, seed=0, max_periods=3)
     with pytest.raises(ValueError, match="max_periods >= 4"):
         monte_carlo_rate(config, 3)
+
+
+def test_no_rate_from_a_long_trial_at_exact_agreement_names_that_cause():
+    # Seed 0's one trial runs 271 periods and ends at a disagreement of
+    # exactly 0, where the period ratios give no rate.
+    config = SimConfig(n=5, w=0.5, p=0.5, seed=0, max_periods=100_000_000,
+                       tolerance=1e-300)
+    rng = sim._trial_rng(config.seed, 0)
+    trial = sim._run(rng.random(config.n), config.w, config.p,
+                     config.max_periods, config.tolerance, rng)
+    assert trial.periods_elapsed == 271
+    assert trial.disagreement_trace[-1] == 0.0
+    assert trial.empirical_rate is None
+    with pytest.raises(RuntimeError, match="under 4 periods") as info:
+        monte_carlo_rate(config, 1)
+    assert "disagreement of exactly 0" in str(info.value)
 
 
 def test_monte_carlo_result_shape():

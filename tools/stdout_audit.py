@@ -1,8 +1,8 @@
 """Fingerprint the output of a fixed list of CLI commands.
 
-Runs each command below as `python -m latticegossip ...` with the caller's
-environment (PYTHONPATH included, so it picks the tree to audit) and prints
-one line per command:
+Runs each command below as `python -W error::RuntimeWarning -m
+latticegossip ...` with the caller's environment (PYTHONPATH included, so it
+picks the tree to audit) and prints one line per command:
 
     sha256(stdout + stderr)  exit-code  command
 
@@ -14,9 +14,19 @@ script once against each tree's `src` and diff the two outputs:
     PYTHONPATH=src python tools/stdout_audit.py > head.txt
     diff parent.txt head.txt
 
-The script exits 1 if a command crashed (a traceback) or was refused as a
-usage error (exit code 2); a `verify` FAIL, exit code 1, is output like any
-other.
+The script exits 1 if a command crashed (a traceback, a RuntimeWarning
+among them), was refused as a usage error (exit code 2) or ended in an
+error or a `verify` FAIL (exit code 1), except a command in MAY_FAIL, whose
+FAIL is output like any other.
+
+Besides the report, spectrum, simulate, verify and reproduce paths at
+representative sizes, the list covers the closed form's w = 0 and
+complex-pair branches, the pairing's repeated-eigenvalue greedy and
+real-distance pairing at n = 2000, the plane oracle's square roots of s^2
+and 1 - s^2 at the smallest orders, odd and even orders up to 2000 on both
+sides of 1/2 and a weight of 1e-300, weight stacks at every residue mod 4
+up to the largest numeric order, w = 0 inside a stack, and verify's spectra
+suite with several stacks per group.
 """
 from __future__ import annotations
 
@@ -44,20 +54,40 @@ COMMANDS = [
     "verify --n-max 47 --seed 3",
     "verify --n-max 60 --seed 1825750039",
     "verify --scope spectra --n-max 150",
+    "verify --n-max 20",
+    "spectrum --n 3 --w 0.5",
+    "spectrum --n 4 --w 0.5",
+    "spectrum --n 3 --p 1",
+    "spectrum --n 8 --w 0.8",
+    "spectrum --n 9 --p 1",
+    "spectrum --n 1024 --w 0.7",
+    "spectrum --n 1999 --w 0.3",
+    "spectrum --n 2000 --p 1",
+    "spectrum --n 2000 --w 0.95",
+    "rate --n 9 --w 1e-300",
+    "rate --n 512 --w 0.85",
+    "rate --n-range 505:512 --w-grid 0.05:0.95:0.05",
+    "link-failure --n 512 --p-grid 0:1:0.1",
 ] + [f"reproduce --target {target}" for target in
      ("table1", "table2", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7")]
 
+# The one command known to FAIL: the charpoly closed form at
+# seed 1825750039 (ROADMAP item 2).
+MAY_FAIL = {"verify --n-max 60 --seed 1825750039"}
+
 
 def main() -> int:
-    crashed = False
+    failed = False
     for command in COMMANDS:
         run = subprocess.run(
-            [sys.executable, "-m", "latticegossip", *shlex.split(command)],
+            [sys.executable, "-W", "error::RuntimeWarning", "-m",
+             "latticegossip", *shlex.split(command)],
             capture_output=True)
         digest = hashlib.sha256(run.stdout + run.stderr).hexdigest()
         print(f"{digest}  {run.returncode}  {command}", flush=True)
-        crashed |= run.returncode >= 2 or b"Traceback" in run.stderr
-    return 1 if crashed else 0
+        failed |= (run.returncode >= 2 or b"Traceback" in run.stderr
+                   or (run.returncode == 1 and command not in MAY_FAIL))
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
