@@ -218,83 +218,81 @@ def _numeric_rates(n: int, weights: list[float]) -> list[float | None]:
             for eigs in oracle.plane_eigenvalues(n, chunk)]
 
 
-def _report_row(n: int, w: float | None = None, p: float | None = None,
-                empirical: float | None = None,
-                numeric: float | None = None) -> dict:
-    """One REPORT_FIELDS row at gossip weight w (1/2 when None) and link
-    failure probability p (0 when None).  Its closed form and numeric
-    column are those of the expected one-period matrix, weighted gossip at
-    (1-p)*w.  numeric is the row's cell from _numeric_rates; when None,
-    the row computes its own."""
-    expected_w = _expected_weight(w, p)
-    if numeric is None:
-        (numeric,) = _numeric_rates(n, [expected_w])
-    r = rates.rate_weighted(n, expected_w)
-    row = dict.fromkeys(REPORT_FIELDS)
-    row.update(n=n, w=w, p=p, analytic_rate=r.rate, numeric_rate=numeric,
-               empirical_rate=empirical, lambda2_modulus=r.lambda2_modulus,
-               regime=r.regime)
-    return row
-
-
-def _write_report(args, ns: list[int], name: str, values: list[float]) -> int:
+def _report_rows(ns: list[int], cells: list[tuple[float | None, float | None]],
+                 empirical: float | None = None) -> list[dict]:
+    """The REPORT_FIELDS rows of every order in ns at every (w, p) cell:
+    gossip weight w (1/2 when None) and link failure probability p (0 when
+    None), with empirical as every row's empirical_rate.  A row's closed
+    form and numeric column are those of the expected one-period matrix,
+    weighted gossip at (1-p)*w; the rows of one order share one
+    _numeric_rates pass."""
     if min(ns) < 3:
         raise SystemExit(f"error: need n >= 3, got n={min(ns)}")
-    if len(ns) * len(values) > MAX_GRID_POINTS:
-        raise SystemExit(f"error: {len(ns)} orders times {len(values)} "
+    if len(ns) * len(cells) > MAX_GRID_POINTS:
+        raise SystemExit(f"error: {len(ns)} orders times {len(cells)} "
                          f"values make more than {MAX_GRID_POINTS} rows")
-    # The rows of one order share one numeric pass.
-    cells = [{name: v} for v in values]
-    weights = [_expected_weight(**cell) for cell in cells]
-    rows = [_report_row(n, **cell, numeric=numeric) for n in ns
-            for cell, numeric in zip(cells, _numeric_rates(n, weights))]
-    write_rows(rows, REPORT_FIELDS, args.out, args.format)
-    return 0
+    weights = [_expected_weight(w, p) for w, p in cells]
+    rows = []
+    for n in ns:
+        for (w, p), weight, numeric in zip(cells, weights,
+                                           _numeric_rates(n, weights)):
+            r = rates.rate_weighted(n, weight)
+            rows.append(dict(n=n, w=w, p=p, analytic_rate=r.rate,
+                             numeric_rate=numeric, empirical_rate=empirical,
+                             lambda2_modulus=r.lambda2_modulus,
+                             regime=r.regime))
+    return rows
 
 
 def cmd_rate(args) -> int:
     ws = _resolve_grid(args, "w", [0.5])
-    return _write_report(args, _resolve_ns(args), "w", ws)
+    rows = _report_rows(_resolve_ns(args), [(w, None) for w in ws])
+    write_rows(rows, REPORT_FIELDS, args.out, args.format)
+    return 0
 
 
 def cmd_sweep_weight(args) -> int:
     if args.n is None:
         raise SystemExit("error: sweep-weight needs --n")
     ws = _resolve_grid(args, "w", rates.default_weight_grid())
-    return _write_report(args, [args.n], "w", ws)
+    rows = _report_rows([args.n], [(w, None) for w in ws])
+    write_rows(rows, REPORT_FIELDS, args.out, args.format)
+    return 0
 
 
 def cmd_sweep_n(args) -> int:
     if not args.n_range:
         raise SystemExit("error: sweep-n needs --n-range")
     ws = _resolve_grid(args, "w", [0.5])
-    return _write_report(args, args.n_range, "w", ws)
+    rows = _report_rows(args.n_range, [(w, None) for w in ws])
+    write_rows(rows, REPORT_FIELDS, args.out, args.format)
+    return 0
 
 
 def cmd_link_failure(args) -> int:
     ps = _resolve_grid(args, "p", _parse_grid("0:1:0.1"))
-    return _write_report(args, _resolve_ns(args), "p", ps)
+    rows = _report_rows(_resolve_ns(args), [(None, p) for p in ps])
+    write_rows(rows, REPORT_FIELDS, args.out, args.format)
+    return 0
 
 
 def cmd_simulate(args) -> int:
     if args.n is None:
         raise SystemExit("error: simulate needs --n")
-    # The row leaves p empty without failures and w empty for plain
-    # averaging with failures; its closed form needs n >= 3.
     try:
         config = sim.SimConfig(
             n=args.n, w=args.w if args.w is not None else 0.5,
             p=args.p if args.p is not None else 0.0, seed=args.seed,
             max_periods=args.max_periods, tolerance=args.tolerance)
-        p = config.p or None
-        w = None if p is not None and config.w == 0.5 else config.w
-        if config.n < 3:
-            raise ValueError(f"need n >= 3, got n={config.n}")
         mc = sim.monte_carlo_rate(config, args.trials)
     except (ValueError, RuntimeError, MemoryError) as exc:
         raise SystemExit(f"error: {exc}") from None
-    write_rows([_report_row(config.n, w, p, mc.mean)], REPORT_FIELDS,
-               args.out, args.format)
+    # The row leaves p empty without failures and w empty for plain
+    # averaging with failures.
+    p = config.p or None
+    w = None if p is not None and config.w == 0.5 else config.w
+    rows = _report_rows([config.n], [(w, p)], mc.mean)
+    write_rows(rows, REPORT_FIELDS, args.out, args.format)
     return 0
 
 
@@ -528,10 +526,10 @@ _FLAGS = {
                    help="base RNG seed (default 0)"),
     "--trials": dict(type=int, default=1,
                      help="Monte Carlo trials (default 1)"),
-    "--max-periods": dict(type=int, default=200,
-                          help="period budget per run (default 200)"),
-    "--tolerance": dict(type=float, default=1e-12,
-                        help="disagreement threshold (default 1e-12)"),
+    "--max-periods": dict(type=int, default=sim.SimConfig.max_periods,
+                          help="period budget per run (default %(default)s)"),
+    "--tolerance": dict(type=float, default=sim.SimConfig.tolerance,
+                        help="disagreement threshold (default %(default)s)"),
     "--scope": dict(default="all", choices=(*VERIFY_SUITES, "all"),
                     help="suite to run (default all)"),
     "--n-max": dict(type=int, default=30,

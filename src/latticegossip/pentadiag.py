@@ -129,8 +129,8 @@ def link_failure_params(n: int, p: float) -> PentaParams:
     Link failure at probability p is weighted gossip at w = (1-p)/2.  p,
     or every entry of an array of them, must lie in [0, 1].
     """
-    matrices._unit_values(p, "failure probability")
-    return weighted_gossip_params(n, (1.0 - p) / 2.0)
+    ps = matrices._unit_values(p, "failure probability")
+    return weighted_gossip_params(n, (1.0 - (ps if ps.ndim else p)) / 2.0)
 
 
 # --- characteristic polynomials -----------------------------------------

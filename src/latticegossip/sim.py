@@ -34,8 +34,8 @@ class SimConfig:
     tolerance: float = 1e-12
 
     def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError(f"need n >= 2, got n={self.n}")
+        if self.n < 3:
+            raise ValueError(f"need n >= 3, got n={self.n}")
         if not 0.0 < self.w < 1.0:
             raise ValueError(f"gossip weight must lie in (0, 1), got {self.w}")
         if not 0.0 <= self.p <= 1.0:

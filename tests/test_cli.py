@@ -22,13 +22,16 @@ Proves:
      driver sees a matrix of order n.  A report solves each order once:
      one Gram solve and one stack of planes for all of its weights, in
      stacks of at most STACK_BYTES, with the bytes of one command
-     per row for rate, link-failure and sweep-weight.
+     per row for rate, link-failure and sweep-weight.  A simulate row's
+     closed-form and numeric cells are those of the rate row at its
+     expected weight.
   5. Bad sizes, bad simulator settings (a period budget too short to
      measure a rate among them), a report of more rows than
      MAX_GRID_POINTS and an --out path that cannot be written end in an
      error: line before any row is computed, never in a traceback.  A
      simulation that runs out of memory ends in an error: line too, and
      so does one whose every trial is dropped, naming both causes.
+     simulate below n = 3 names the floor n >= 3 before any trial runs.
   6. verify's stacked suites return the float of a one-matrix-at-a-time
      loop (one weight and one p at a time for the closed form and the
      enumeration), and an --n-max the spectra suite cannot solve is an
@@ -155,9 +158,10 @@ def test_csv_columns_are_the_bytes_of_per_cell_mixed_cells(capsys):
     # Report rows with empty cells (no p, no empirical rate, no numeric
     # rate above NUMERIC_RATE_MAX_N), then cells of every kind in one
     # column: bools, None, ints, strings, numpy floats and odd floats.
-    rows = [cli._report_row(8, 0.8), cli._report_row(9, p=0.3),
-            cli._report_row(cli.NUMERIC_RATE_MAX_N + 1, 0.3),
-            cli._report_row(6, 0.5, 0.1, 0.25)]
+    rows = (cli._report_rows([8], [(0.8, None)])
+            + cli._report_rows([9], [(None, 0.3)])
+            + cli._report_rows([cli.NUMERIC_RATE_MAX_N + 1], [(0.3, None)])
+            + cli._report_rows([6], [(0.5, 0.1)], 0.25))
     odd = [True, False, None, 7, "x", np.float64(0.1), -0.0, 1e-300,
            float("nan"), float("inf"), 1 / 3]
     rows += [dict.fromkeys(REPORT_FIELDS, value) for value in odd]
@@ -226,6 +230,13 @@ def test_simulate_row_columns_follow_the_model(capsys, w, p, expected):
     assert (record["w"] == "") == (w == "0.5" and p != "0")
     assert float(record["analytic_rate"]) == pytest.approx(expected, abs=1e-9)
     assert float(record["numeric_rate"]) == pytest.approx(expected, abs=1e-7)
+    # Its closed-form and numeric cells are those of the rate row there.
+    weight = (1.0 - float(p)) * float(w)
+    code, out = run_cli(capsys, "rate", "--n", "5", "--w", repr(weight))
+    assert code == 0
+    (rated,) = parse_csv(out)
+    for f in ("analytic_rate", "numeric_rate", "lambda2_modulus", "regime"):
+        assert record[f] == rated[f]
 
 
 def test_spectrum_rows_pair_within_tolerance(capsys):
@@ -812,9 +823,19 @@ def test_bad_size_or_setting_is_an_error_line(monkeypatch, argv):
     def must_not_run(*args, **kwargs):
         raise AssertionError("work started before the input was checked")
 
-    monkeypatch.setattr(cli, "_report_row", must_not_run)
+    monkeypatch.setattr(cli, "_numeric_rates", must_not_run)
     monkeypatch.setattr(cli.sim, "_run", must_not_run)
     assert error_exit(argv.split()).startswith("error:")
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_simulate_below_three_nodes_names_the_floor(monkeypatch, n):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a trial ran before n was checked")
+
+    monkeypatch.setattr(cli.sim, "_run", must_not_run)
+    assert error_exit(["simulate", "--n", str(n)]) == \
+        f"error: need n >= 3, got n={n}"
 
 
 def test_simulation_without_a_rate_names_both_causes():
@@ -858,13 +879,13 @@ def test_report_of_exactly_the_grid_cap_rows_is_accepted(monkeypatch):
     def first_row(*args, **kwargs):
         raise AssertionError("first row")
 
-    monkeypatch.setattr(cli, "_report_row", first_row)
+    monkeypatch.setattr(cli, "_numeric_rates", first_row)
     with pytest.raises(AssertionError, match="first row"):
         main("rate --n-range 3:500002 --w-grid 0.1:0.2:0.1".split())
 
 
 @pytest.mark.parametrize("row_builder, argv", [
-    ("_report_row", "rate --n 8"),
+    ("_numeric_rates", "rate --n 8"),
     ("_rows_rate", "reproduce --target fig2"),
 ])
 def test_out_into_missing_directory_fails_before_any_row(monkeypatch, tmp_path,

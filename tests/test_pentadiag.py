@@ -25,6 +25,8 @@ Proves:
      spectra rather than reading it as one.
   7. weighted_gossip_params and link_failure_params reject a weight or
      probability outside [0, 1], or NaN, as a scalar or in an array.
+     link_failure_params of a list, an array or a scalar is
+     weighted_gossip_params at (1 - p)/2, field for field.
 """
 import math
 
@@ -403,3 +405,16 @@ def test_closed_form_parameters_reject_an_impossible_value(params, as_array,
     value = np.array([0.3, bad]) if as_array else bad
     with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
         params(5, value)
+
+
+@pytest.mark.parametrize("ps", [[0.1, 0.2, 1.0], np.array([0.0, 0.35, 0.9])],
+                         ids=["list", "array"])
+def test_link_failure_params_are_weighted_gossip_at_half_the_success(ps):
+    stacked = link_failure_params(5, ps)
+    for i, p in enumerate(ps):
+        expected = weighted_gossip_params(5, (1.0 - p) / 2.0)
+        single = link_failure_params(5, p)
+        for f in ("alpha", "beta", "e", "b", "c", "d"):
+            assert getattr(stacked, f)[i] == getattr(single, f) == \
+                getattr(expected, f)
+        assert stacked.n == single.n == 5

@@ -48,7 +48,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latticegossip import cli
-from latticegossip.cli import _report_row
+from latticegossip.cli import _report_rows
 from latticegossip.matrices import (apply_period, expected_failure_matrix,
                                     primitive_gossip_matrix)
 from latticegossip.oracle import (eigenvalues, enumerate_failure_expectation,
@@ -128,11 +128,11 @@ CLOSED_FORM = ("analytic_rate", "lambda2_modulus", "regime")
 @PROPERTY
 @given(n=st.integers(3, 60), w=OPEN_WEIGHT, p=PROBABILITY)
 def test_report_row_is_the_expected_matrix_at_any_weight(n, w, p):
-    row = _report_row(n, w, p)
+    row, w_only, p_only = _report_rows([n], [(w, p), (w, None), (None, p)])
     assert abs(row["analytic_rate"] - row["numeric_rate"]) <= 1e-8
     assert row["analytic_rate"] == rate_weighted(n, (1.0 - p) * w).rate
-    for single, r in ((_report_row(n, w=w), rate_weighted(n, w)),
-                      (_report_row(n, p=p), rate_link_failure(n, p))):
+    for single, r in ((w_only, rate_weighted(n, w)),
+                      (p_only, rate_link_failure(n, p))):
         assert [single[f] for f in CLOSED_FORM] == \
             [r.rate, r.lambda2_modulus, r.regime]
 

@@ -20,7 +20,8 @@ error or a `verify` FAIL (exit code 1), except a command in MAY_FAIL, whose
 FAIL is output like any other.
 
 Besides the report, spectrum, simulate, verify and reproduce paths at
-representative sizes, the list covers the closed form's w = 0 and
+representative sizes, the list covers simulate rows with p unset and
+with w unset, JSON reports, the closed form's w = 0 and
 complex-pair branches, the pairing's repeated-eigenvalue greedy and
 real-distance pairing at n = 2000, the plane oracle's square roots of s^2
 and 1 - s^2 at the smallest orders, odd and even orders up to 2000 on both
@@ -49,12 +50,13 @@ COMMANDS = [
     "spectrum --n 1999 --p 1",
     "simulate --n 6 --w 0.5 --p 0.3 --seed 7 --trials 20",
     "simulate --n 17 --w 0.2 --p 0.5 --seed 11 --trials 5",
+    "simulate --n 8 --w 0.8 --seed 3 --trials 4",
+    "simulate --n 6 --p 0.3 --seed 7 --trials 3 --format json",
     "verify --n-max 20 --seed 0",
     "verify --n-max 33 --seed 7",
     "verify --n-max 47 --seed 3",
     "verify --n-max 60 --seed 1825750039",
     "verify --scope spectra --n-max 150",
-    "verify --n-max 20",
     "spectrum --n 3 --w 0.5",
     "spectrum --n 4 --w 0.5",
     "spectrum --n 3 --p 1",
@@ -68,6 +70,7 @@ COMMANDS = [
     "rate --n 512 --w 0.85",
     "rate --n-range 505:512 --w-grid 0.05:0.95:0.05",
     "link-failure --n 512 --p-grid 0:1:0.1",
+    "link-failure --n 9 --p-grid 0:1:0.5 --format json",
 ] + [f"reproduce --target {target}" for target in
      ("table1", "table2", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7")]
 
