@@ -164,14 +164,6 @@ def _parse_seed(text: str) -> int:
     return seed
 
 
-def _resolve_ns(args) -> list[int]:
-    if args.n_range:
-        return args.n_range
-    if args.n is not None:
-        return [args.n]
-    raise SystemExit("error: provide --n or --n-range")
-
-
 def _resolve_grid(args, name: str, default: list[float]) -> list[float]:
     """Values of --NAME or --NAME-grid (at most one is given), else default.
 
@@ -190,13 +182,6 @@ def _resolve_grid(args, name: str, default: list[float]) -> list[float]:
 
 
 # --- report rows -----------------------------------------------------------
-
-
-def _expected_weight(w: float | None = None, p: float | None = None) -> float:
-    """The weight of the expected one-period matrix at gossip weight w (1/2
-    when None) and link failure probability p (0 when None): weighted
-    gossip at (1-p)*w."""
-    return (1.0 - (0.0 if p is None else p)) * (0.5 if w is None else w)
 
 
 def _stacks(values: list[float], item_bytes: int):
@@ -223,15 +208,15 @@ def _report_rows(ns: list[int], cells: list[tuple[float | None, float | None]],
     """The REPORT_FIELDS rows of every order in ns at every (w, p) cell:
     gossip weight w (1/2 when None) and link failure probability p (0 when
     None), with empirical as every row's empirical_rate.  A row's closed
-    form and numeric column are those of the expected one-period matrix,
-    weighted gossip at (1-p)*w; the rows of one order share one
+    form and numeric column are those of weighted gossip at the cell's
+    matrices._expected_weight; the rows of one order share one
     _numeric_rates pass."""
     if min(ns) < 3:
         raise SystemExit(f"error: need n >= 3, got n={min(ns)}")
     if len(ns) * len(cells) > MAX_GRID_POINTS:
         raise SystemExit(f"error: {len(ns)} orders times {len(cells)} "
                          f"values make more than {MAX_GRID_POINTS} rows")
-    weights = [_expected_weight(w, p) for w, p in cells]
+    weights = [matrices._expected_weight(w, p) for w, p in cells]
     rows = []
     for n in ns:
         for (w, p), weight, numeric in zip(cells, weights,
@@ -244,35 +229,19 @@ def _report_rows(ns: list[int], cells: list[tuple[float | None, float | None]],
     return rows
 
 
-def cmd_rate(args) -> int:
-    ws = _resolve_grid(args, "w", [0.5])
-    rows = _report_rows(_resolve_ns(args), [(w, None) for w in ws])
-    write_rows(rows, REPORT_FIELDS, args.out, args.format)
-    return 0
-
-
-def cmd_sweep_weight(args) -> int:
-    if args.n is None:
-        raise SystemExit("error: sweep-weight needs --n")
-    ws = _resolve_grid(args, "w", rates.default_weight_grid())
-    rows = _report_rows([args.n], [(w, None) for w in ws])
-    write_rows(rows, REPORT_FIELDS, args.out, args.format)
-    return 0
-
-
-def cmd_sweep_n(args) -> int:
-    if not args.n_range:
-        raise SystemExit("error: sweep-n needs --n-range")
-    ws = _resolve_grid(args, "w", [0.5])
-    rows = _report_rows(args.n_range, [(w, None) for w in ws])
-    write_rows(rows, REPORT_FIELDS, args.out, args.format)
-    return 0
-
-
-def cmd_link_failure(args) -> int:
-    ps = _resolve_grid(args, "p", _parse_grid("0:1:0.1"))
-    rows = _report_rows(_resolve_ns(args), [(None, p) for p in ps])
-    write_rows(rows, REPORT_FIELDS, args.out, args.format)
+def cmd_report(args) -> int:
+    """The rows of rate, sweep-weight, sweep-n and link-failure: every order
+    of --n or --n-range at every value of the command's grid kind, w or p,
+    its default grid when neither the value nor the grid flag is given.
+    Each command sets kind, grid and its missing-order error line where
+    build_parser registers it."""
+    n = getattr(args, "n", None)
+    ns = getattr(args, "n_range", None) or ([n] if n is not None else None)
+    if ns is None:
+        raise SystemExit(args.missing)
+    values = _resolve_grid(args, args.kind, args.grid)
+    cells = [(v, None) if args.kind == "w" else (None, v) for v in values]
+    write_rows(_report_rows(ns, cells), REPORT_FIELDS, args.out, args.format)
     return 0
 
 
@@ -310,7 +279,7 @@ def cmd_spectrum(args) -> int:
                          f"{oracle.MAX_SPECTRUM_ORDER}, got n={n}")
     kind = "w" if args.p is None else "p"
     (value,) = _resolve_grid(args, kind, [0.5])
-    w = _expected_weight(**{kind: value})
+    w = matrices._expected_weight(**{kind: value})
     analytic = pentadiag.analytic_eigenvalues(
         pentadiag.weighted_gossip_params(n, w))
     numeric = oracle.plane_eigenvalues(n, w).astype(complex)
@@ -338,7 +307,7 @@ def _suite_spectra(n_max: int, seed: int) -> float:
     # The w-grid plus the link-failure weights (1-p)*w at w = 1/2, each
     # solved once.
     weights = sorted(set(_parse_grid("0.05:0.95:0.05"))
-                     | {_expected_weight(p=p)
+                     | {matrices._expected_weight(p=p)
                         for p in _parse_grid("0:0.9:0.1")})
     groups = ([w for w in weights if w <= 0.5],
               [w for w in weights if w > 0.5])
@@ -479,10 +448,10 @@ def _rows_relative_error(ns: list[int]) -> tuple[tuple[str, ...], list[dict]]:
 
 def _rows_fig7() -> tuple[tuple[str, ...], list[dict]]:
     fields = ("n", "p", "rate")
-    # Link failure is weighted gossip at w = (1-p)/2: rate_link_failure's
-    # rate, with one rates call a row.
+    # rate_link_failure's rate, with one rates call a row.
     rows = [{"n": n, "p": p,
-             "rate": rates.rate_weighted(n, _expected_weight(p=p)).rate}
+             "rate": rates.rate_weighted(
+                 n, matrices._expected_weight(p=p)).rate}
             for n in (5, 10, 15, 20) for p in _parse_grid("0:1:0.05")]
     return fields, rows
 
@@ -541,12 +510,13 @@ _FLAGS = {
 }
 
 
-def _command(sub, name: str, func, help: str, *flags) -> None:
+def _command(sub, name: str, func, help: str, *flags, **defaults) -> None:
     """Add subcommand name with the given _FLAGS entries; a tuple of flags
-    becomes a mutually exclusive group.  Abbreviations are off, so an
-    undeclared flag cannot pass as the prefix of a declared one."""
+    becomes a mutually exclusive group.  defaults are set on the parsed
+    arguments as they are.  Abbreviations are off, so an undeclared flag
+    cannot pass as the prefix of a declared one."""
     parser = sub.add_parser(name, help=help, allow_abbrev=False)
-    parser.set_defaults(func=func)
+    parser.set_defaults(func=func, **defaults)
     for flag in flags:
         if isinstance(flag, tuple):
             group = parser.add_mutually_exclusive_group()
@@ -563,18 +533,24 @@ def build_parser() -> argparse.ArgumentParser:
                     "spectra, link-failure analysis, and simulation.")
     sub = parser.add_subparsers(dest="command", required=True)
     out = ("--out", "--format")
-    _command(sub, "rate", cmd_rate, "convergence rate for given n (and w)",
-             ("--n", "--n-range"), ("--w", "--w-grid"), *out)
+    either_n = "error: provide --n or --n-range"
+    _command(sub, "rate", cmd_report, "convergence rate for given n (and w)",
+             ("--n", "--n-range"), ("--w", "--w-grid"), *out,
+             kind="w", grid=[0.5], missing=either_n)
     _command(sub, "spectrum", cmd_spectrum,
              "analytic vs numeric eigenvalues for one matrix",
              "--n", ("--w", "--p"), *out)
-    _command(sub, "sweep-weight", cmd_sweep_weight,
-             "rate across a weight grid", "--n", ("--w", "--w-grid"), *out)
-    _command(sub, "sweep-n", cmd_sweep_n, "rate across a node-count range",
-             "--n-range", ("--w", "--w-grid"), *out)
-    _command(sub, "link-failure", cmd_link_failure,
+    _command(sub, "sweep-weight", cmd_report, "rate across a weight grid",
+             "--n", ("--w", "--w-grid"), *out, kind="w",
+             grid=rates.default_weight_grid(),
+             missing="error: sweep-weight needs --n")
+    _command(sub, "sweep-n", cmd_report, "rate across a node-count range",
+             "--n-range", ("--w", "--w-grid"), *out, kind="w", grid=[0.5],
+             missing="error: sweep-n needs --n-range")
+    _command(sub, "link-failure", cmd_report,
              "rate under Bernoulli link failures",
-             ("--n", "--n-range"), ("--p", "--p-grid"), *out)
+             ("--n", "--n-range"), ("--p", "--p-grid"), *out,
+             kind="p", grid=_parse_grid("0:1:0.1"), missing=either_n)
     _command(sub, "simulate", cmd_simulate, "Monte Carlo empirical rate",
              "--n", "--w", "--p", "--seed", "--trials", "--max-periods",
              "--tolerance", *out)

@@ -13,7 +13,8 @@ builders apply it to a few seed columns per matrix, O(n) work
 S1(h) S2(w) S1(h)), and the simulator to the state.  The expected
 one-period matrix under independent Bernoulli link failures with
 probability p is not a family of its own: each edge's expected factor
-p*I + (1-p)*P_{1/2} is the weighted pair update at w = (1-p)/2.
+p*I + (1-p)*P_w is the weighted pair update at (1-p)*w, and
+_expected_weight is the one statement of that map.
 """
 from __future__ import annotations
 
@@ -164,16 +165,22 @@ def primitive_gossip_matrix(n: int, w) -> np.ndarray:
     return out if ws.ndim else out[0]
 
 
+def _expected_weight(w=None, p=None):
+    """The weight of the expected one-period matrix at gossip weight w (1/2
+    when None) and link failure probability p (0 when None): link failure
+    is weighted gossip at (1-p)*w.  Either value may be a scalar or an
+    array; the caller checks them."""
+    return (1.0 - (0.0 if p is None else p)) * (0.5 if w is None else w)
+
+
 def expected_failure_matrix(n: int, p) -> np.ndarray:
     """Expected one-period matrix when each link independently fails.
 
-    Each pairwise average is replaced by identity with probability p, so the
-    expected per-edge factor is p*I + (1-p)*P_{1/2}, which is the pair
-    update at w = (1-p)/2.  Independence across edges makes the expectation
-    of the period product the product of the per-edge expectations.  A 1-D
-    array of probabilities gives the stack of their matrices.
+    Each pairwise average is replaced by identity with probability p.
+    Independence across edges makes the expectation of the period product
+    the product of the per-edge expectations, so the matrix is
+    primitive_gossip_matrix at _expected_weight(p=p).  A 1-D array of
+    probabilities gives the stack of their matrices.
     """
-    if n < 3:
-        raise ValueError(f"expected failure matrix needs n >= 3, got n={n}")
-    ps = _unit_values(p, "failure probability")
-    return primitive_gossip_matrix(n, (1.0 - ps) / 2.0)
+    return primitive_gossip_matrix(
+        n, _expected_weight(p=_unit_values(p, "failure probability")))

@@ -111,26 +111,23 @@ def weighted_gossip_params(n: int, w) -> PentaParams:
     weight must lie in [0, 1].
     """
     ws = matrices._unit_values(w, "gossip weight")
-    if ws.ndim:
-        w = ws
-        # numpy squares an array by multiplication but a scalar by libm's
-        # pow, and the two round about one square in a thousand apart
-        # (w = 0.958203739894623 among them): each entry takes the pow.
-        e = np.array([(x - 1.0) ** 2 for x in w.tolist()])
-    else:
-        e = (w - 1.0) ** 2
+    # numpy squares an array by multiplication but a Python float by libm's
+    # pow, and the two round about one square in a thousand apart
+    # (w = 0.958203739894623 among them): each entry takes the pow.
+    e = np.reshape([(x - 1.0) ** 2 for x in ws.ravel().tolist()],
+                   ws.shape)[()]
+    w = ws[()]
     b = w - w * w
     return PentaParams(alpha=-b, beta=-b, e=e, b=b, c=w * w, d=w, n=n)
 
 
-def link_failure_params(n: int, p: float) -> PentaParams:
-    """Parameters whose realized matrix is expected_failure_matrix(n, p).
-
-    Link failure at probability p is weighted gossip at w = (1-p)/2.  p,
-    or every entry of an array of them, must lie in [0, 1].
+def link_failure_params(n: int, p) -> PentaParams:
+    """Parameters whose realized matrix is expected_failure_matrix(n, p):
+    weighted_gossip_params at matrices._expected_weight(p=p).  p, or every
+    entry of an array of them, must lie in [0, 1].
     """
-    ps = matrices._unit_values(p, "failure probability")
-    return weighted_gossip_params(n, (1.0 - (ps if ps.ndim else p)) / 2.0)
+    return weighted_gossip_params(n, matrices._expected_weight(
+        p=matrices._unit_values(p, "failure probability")))
 
 
 # --- characteristic polynomials -----------------------------------------
@@ -165,7 +162,8 @@ def _check_alpha_beta(params: PentaParams) -> float:
             abs(params.beta) > _REL_TOL * scale:
         raise ValueError(
             "characteristic polynomials require alpha = beta = 0; "
-            f"got alpha={params.alpha!r}, beta={params.beta!r}")
+            f"got alpha={float(params.alpha)!r}, "
+            f"beta={float(params.beta)!r}")
     return scale
 
 
@@ -232,7 +230,7 @@ def charpoly_bd_bd(params: PentaParams, lam: complex) -> complex:
         if abs((d - b) - c) > _REL_TOL * scale:
             raise ValueError(
                 "odd-order charpoly_bd_bd requires d - b = c; "
-                f"got d - b = {d - b!r}, c = {c!r}")
+                f"got d - b = {float(d - b)!r}, c = {float(c)!r}")
         return _charpoly_bd_bd_odd_raw(params, lam)
     y = params.e - lam
     z = c * y - b * b

@@ -12,14 +12,17 @@ when the radicand is nonnegative, and |lambda2| = |2w - 1| otherwise (the
 pair turns complex-conjugate and Vieta's product fixes the modulus).  The
 link-failure variant is the same formula: the expected matrix under i.i.d.
 Bernoulli link failures at rate p is weighted gossip at w = (1-p)/2, where
-the radicand is nonnegative, so its slow mode is always a real root.  The
-formula holds at both ends of the weight range: w = 0 (the identity) and
+the radicand is nonnegative, so its slow mode is always a real root;
+matrices._expected_weight is the one statement of that map.  The formula
+holds at both ends of the weight range: w = 0 (the identity) and
 w = 1 (a permutation) both give modulus 1 and rate 0.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+
+from . import matrices
 
 REAL_ROOTS = "real_roots"
 COMPLEX_PAIR = "complex_pair"
@@ -29,13 +32,11 @@ COMPLEX_PAIR = "complex_pair"
 class RateResult:
     """Convergence rate of one configuration.
 
-    parameter is the gossip weight w (rate_weighted) or the link-failure
-    probability p (rate_link_failure).  regime records whether the slow
-    eigenvalue pair was real or complex-conjugate.
+    regime records whether the slow eigenvalue pair was real or
+    complex-conjugate.
     """
 
     n: int
-    parameter: float
     lambda2_modulus: float
     rate: float
     regime: str
@@ -59,21 +60,19 @@ def rate_weighted(n: int, w: float) -> RateResult:
         modulus, regime = abs(lam2), REAL_ROOTS
     else:
         modulus, regime = abs(2.0 * w - 1.0), COMPLEX_PAIR
-    return RateResult(n=n, parameter=w, lambda2_modulus=modulus,
+    return RateResult(n=n, lambda2_modulus=modulus,
                       rate=1.0 - modulus, regime=regime)
 
 
 def rate_link_failure(n: int, p: float) -> RateResult:
-    """Rate from the expected per-period matrix under link failures.
-
-    The expected matrix is weighted gossip at w = (1-p)/2, so this is
-    rate_weighted at that weight with parameter p.  It reduces to
+    """Rate from the expected per-period matrix under link failures:
+    rate_weighted at matrices._expected_weight(p=p).  It reduces to
     rate_weighted(n, 1/2) at p = 0 and to zero at p = 1 (all links down,
     identity dynamics).
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"failure probability must lie in [0, 1], got {p}")
-    return replace(rate_weighted(n, (1.0 - p) / 2.0), parameter=p)
+    return rate_weighted(n, matrices._expected_weight(p=p))
 
 
 def optimal_weight(n: int, grid: list[float]) -> tuple[float, RateResult]:

@@ -32,6 +32,9 @@ Proves:
      simulation that runs out of memory ends in an error: line too, and
      so does one whose every trial is dropped, naming both causes.
      simulate below n = 3 names the floor n >= 3 before any trial runs.
+     A report command without its orders prints its own missing-flag
+     line, with exit code 1, before any row is computed, whatever else
+     it is given.
   6. verify's stacked suites return the float of a one-matrix-at-a-time
      loop (one weight and one p at a time for the closed form and the
      enumeration), and an --n-max the spectra suite cannot solve is an
@@ -836,6 +839,30 @@ def test_simulate_below_three_nodes_names_the_floor(monkeypatch, n):
     monkeypatch.setattr(cli.sim, "_run", must_not_run)
     assert error_exit(["simulate", "--n", str(n)]) == \
         f"error: need n >= 3, got n={n}"
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("rate", "error: provide --n or --n-range"),
+    ("rate --w 2", "error: provide --n or --n-range"),
+    ("link-failure", "error: provide --n or --n-range"),
+    ("link-failure --p 2", "error: provide --n or --n-range"),
+    ("sweep-weight", "error: sweep-weight needs --n"),
+    ("sweep-weight --w-grid 0.1:0.5:0.1", "error: sweep-weight needs --n"),
+    ("sweep-n", "error: sweep-n needs --n-range"),
+    ("sweep-n --w 0.3", "error: sweep-n needs --n-range"),
+])
+def test_report_without_orders_names_its_missing_flag(monkeypatch, argv,
+                                                      message):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a row was computed before the orders were "
+                             "checked")
+
+    monkeypatch.setattr(cli, "_numeric_rates", must_not_run)
+    assert error_exit(argv.split()) == message
+    proc = subprocess.run([sys.executable, "-m", "latticegossip",
+                           *argv.split()], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == \
+        (1, "", message + "\n")
 
 
 def test_simulation_without_a_rate_names_both_causes():

@@ -5,7 +5,8 @@ Proves:
      factors bit for bit, for one weight and for per-edge weights; a zero
      weight skips its edge exactly, and strided inputs give the same result.
   2. Link failure at probability p is weighted gossip at w = (1-p)/2: the
-     expected matrix, the pentadiagonal parameters and the rate agree.
+     expected matrix, the pentadiagonal parameters and the whole rate
+     result agree, at p = 0 and 1 and next to both ends.
   3. monte_carlo_rate output is pinned to fixed bits, so a kernel that
      changes the arithmetic or the draw order is caught.
   4. The greedy eigenvalue pairing is a permutation whose largest distance
@@ -166,15 +167,15 @@ def test_per_column_weights_are_column_by_column_calls(n, shape):
 
 
 @pytest.mark.parametrize("n", [3, 4, 9, 20])
-@pytest.mark.parametrize("p", [0.0, 0.1, 0.35, 0.9, 1.0])
+@pytest.mark.parametrize("p", [0.0, 1e-300, 0.1, 0.35, 0.9, 1.0 - 2.0 ** -53,
+                               1.0])
 def test_link_failure_is_weighted_gossip_at_half_one_minus_p(n, p):
     w = (1.0 - p) / 2.0
     assert np.array_equal(expected_failure_matrix(n, p),
                           primitive_gossip_matrix(n, w))
     assert pentadiag.link_failure_params(n, p) == \
         pentadiag.weighted_gossip_params(n, w)
-    if p < 1.0:
-        assert rate_link_failure(n, p).rate == rate_weighted(n, w).rate
+    assert rate_link_failure(n, p) == rate_weighted(n, w)
 
 
 # --- simulator output pinned to bits --------------------------------------------
