@@ -39,8 +39,7 @@ def pair_update_matrix(n: int, pair, w: float) -> np.ndarray:
     are allowed here).
     """
     _check_pair(n, pair)
-    if not 0.0 <= w <= 1.0:
-        raise ValueError(f"gossip weight must lie in [0, 1], got {w}")
+    _unit_values(w, "gossip weight")
     m = np.eye(n)
     i, j = pair[0] - 1, pair[1] - 1
     m[i, i] = m[j, j] = 1.0 - w

@@ -17,8 +17,10 @@ The V_m satisfy the plain polynomial recurrence
     V_m = (Y^2 + c^2 - 2 b^2) * V_{m-1} - z^2 * V_{m-2},  V_0 = 1, V_{-1} = 0,
 
 so every formula below is a polynomial in lambda and stays finite at z = 0,
-where the unscaled U_m(x) has a pole in x.  The characteristic polynomials
-hold for alpha = beta = 0 and reject any other corner perturbation.
+where the unscaled U_m(x) has a pole in x.  The recurrence runs once per
+call, to m = n // 2 for either parity, and every characteristic polynomial
+is a combination of the window V_m, ..., V_{m-3} at its end.  They hold
+for alpha = beta = 0 and reject any other corner perturbation.
 
 The closed-form eigenvalues come in array passes: weighted_gossip_params
 takes a 1-D array of weights as well as one weight, and
@@ -167,22 +169,33 @@ def _check_alpha_beta(params: PentaParams) -> float:
     return scale
 
 
+def _window(params: PentaParams, lam: complex):
+    """Y, z and [V_{-1}, V_0, ..., V_m] at m = n // 2, the one recurrence
+    run that every charpoly reads; at odd n, m = (n - 1) // 2."""
+    y = params.e - lam
+    b, c = params.b, params.c
+    return y, c * y - b * b, _v_values(y, b, c, params.n // 2)
+
+
+def _charpoly_top_b(params: PentaParams, lam: complex, d: float) -> complex:
+    """det(A - lam*I) with the top corner coupling b and the bottom one d:
+    charpoly_bb at d = b, charpoly_bb_bd at d = params.d."""
+    y, z, vs = _window(params, lam)
+    b, c = params.b, params.c
+    if params.n % 2 == 1:
+        return y * vs[-1] - (c * z + (d - b) * b * (y - c)) * vs[-2]
+    return (vs[-1] - ((d - 2.0 * b) * b + c * c) * vs[-2]
+            + (d - b) * b * z * vs[-3])
+
+
 def charpoly_bb(params: PentaParams, lam: complex) -> complex:
     """det(A - lam*I) for the variant with both corner couplings equal to b.
 
-    Only e, b, c enter; d plays no role in this variant.
+    Only e, b, c enter: params.d is ignored, and the value is
+    charpoly_bb_bd's formula at d = b.
     """
     _check_alpha_beta(params)
-    y = params.e - lam
-    b, c = params.b, params.c
-    z = c * y - b * b
-    if params.n % 2 == 1:
-        m = (params.n - 1) // 2
-        vs = _v_values(y, b, c, m)
-        return y * vs[m + 1] - c * z * vs[m]
-    m = params.n // 2
-    vs = _v_values(y, b, c, m)
-    return vs[m + 1] + (b * b - c * c) * vs[m]
+    return _charpoly_top_b(params, lam, params.b)
 
 
 def charpoly_bb_bd(params: PentaParams, lam: complex) -> complex:
@@ -191,29 +204,16 @@ def charpoly_bb_bd(params: PentaParams, lam: complex) -> complex:
     Reduces to charpoly_bb when d = b.
     """
     _check_alpha_beta(params)
-    y = params.e - lam
-    b, c, d = params.b, params.c, params.d
-    z = c * y - b * b
-    if params.n % 2 == 1:
-        m = (params.n - 1) // 2
-        vs = _v_values(y, b, c, m)
-        return y * vs[m + 1] - (c * z + (d - b) * b * (y - c)) * vs[m]
-    m = params.n // 2
-    vs = _v_values(y, b, c, m)
-    return (vs[m + 1] - ((d - 2.0 * b) * b + c * c) * vs[m]
-            + (d - b) * b * z * vs[m - 1])
+    return _charpoly_top_b(params, lam, params.d)
 
 
 def _charpoly_bd_bd_odd_raw(params: PentaParams, lam: complex) -> complex:
     """Odd-order both-corners-d formula with no validity guard (see below)."""
-    y = params.e - lam
+    y, z, vs = _window(params, lam)
     b, c = params.b, params.c
-    z = c * y - b * b
-    m = (params.n - 1) // 2
-    vs = _v_values(y, b, c, m)
-    return (y * vs[m + 1]
-            - c * (z + 2.0 * b * (y - c) - c * c) * vs[m]
-            - c * c * y * z * vs[m - 1])
+    return (y * vs[-1]
+            - c * (z + 2.0 * b * (y - c) - c * c) * vs[-2]
+            - c * c * y * z * vs[-3])
 
 
 def charpoly_bd_bd(params: PentaParams, lam: complex) -> complex:
@@ -232,14 +232,11 @@ def charpoly_bd_bd(params: PentaParams, lam: complex) -> complex:
                 "odd-order charpoly_bd_bd requires d - b = c; "
                 f"got d - b = {float(d - b)!r}, c = {float(c)!r}")
         return _charpoly_bd_bd_odd_raw(params, lam)
-    y = params.e - lam
-    z = c * y - b * b
-    m = params.n // 2
-    vs = _v_values(y, b, c, m)
-    return (vs[m + 1] + (3.0 * b * b - 2.0 * b * d - c * c) * vs[m]
+    y, z, vs = _window(params, lam)
+    return (vs[-1] + (3.0 * b * b - 2.0 * b * d - c * c) * vs[-2]
             + (-(d - b) * (d - 3.0 * b) * z
-               + (d - b) ** 2 * c * (y - c)) * vs[m - 1]
-            + (d - b) ** 2 * z * z * vs[m - 2])
+               + (d - b) ** 2 * c * (y - c)) * vs[-3]
+            + (d - b) ** 2 * z * z * vs[-4])
 
 
 # --- eigenvalues ---------------------------------------------------------

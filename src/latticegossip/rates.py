@@ -70,8 +70,7 @@ def rate_link_failure(n: int, p: float) -> RateResult:
     rate_weighted(n, 1/2) at p = 0 and to zero at p = 1 (all links down,
     identity dynamics).
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"failure probability must lie in [0, 1], got {p}")
+    matrices._unit_values(p, "failure probability")
     return rate_weighted(n, matrices._expected_weight(p=p))
 
 

@@ -10,7 +10,10 @@ Proves:
   3. Each closed-form characteristic polynomial agrees with an LU-based
      determinant oracle at random complex points, for both parities, at
      orders up to 51, including the z = cY - b^2 = 0 stress point where a
-     naive Chebyshev-argument evaluation would divide by zero.
+     naive Chebyshev-argument evaluation would divide by zero.  Fixed
+     cases of every charpoly, the unguarded odd bd_bd formula among them,
+     keep recorded values bit for bit: both parities, b = 0, that z = 0
+     point, and real, complex and complex-typed real lambda.
   4. The all-corner form with odd order genuinely requires d - b = c: the
      guarded function raises, and the raw formula provably disagrees with
      the determinant when the constraint is broken.  Every charpoly rejects
@@ -286,6 +289,45 @@ def test_bd_bd_odd_formula_truly_needs_the_constraint():
                          determinant_shifted(matrix, lam))
                 for lam in _random_lambdas(np.random.default_rng(2)))
     assert worst > 1e-3
+
+
+_VANISHING_Z = 1.1 - 0.8 * 0.8 / 0.4  # lam at z = cY - b^2 = 0
+
+
+@pytest.mark.parametrize("func, n, e, b, c, d, lam, expected", [
+    (charpoly_bb, 7, 1.3, 0.6, 0.45, 0.9, 0.37 + 0.21j,
+     complex(-0.09057884375592004, -0.018209410072560047)),
+    (charpoly_bb, 8, 1.3, 0.6, 0.45, 0.9, -0.8 + 1.1j,
+     complex(-390.5659820131251, 684.3691997175007)),
+    (charpoly_bb, 8, 0.7, 0.3, 0.2, 0.1, complex(0.15, 0.0),
+     complex(0.0008738133203124984, 0.0)),
+    (charpoly_bb, 9, 0.7, 0.0, 0.35, 0.2, 0.15, 0.004605366583984373),
+    (charpoly_bb, 13, 1.1, 0.8, 0.4, 0.8, _VANISHING_Z, 14.265760717209654),
+    (charpoly_bb_bd, 13, 1.1, 0.8, 0.4, 1.2, _VANISHING_Z,
+     11.888133931008047),
+    (charpoly_bb_bd, 3, 0.25, 0.25, 0.25, 0.5, 0.6 - 0.3j,
+     complex(0.14850000000000002, 0.02699999999999999)),
+    (charpoly_bb_bd, 14, 0.9, -0.35, 0.6, 0.2, 1.7, 0.018840213568858163),
+    (charpoly_bb_bd, 10, 0.8, 0.0, 0.3, 0.55, -0.4 + 0.9j,
+     complex(57.00169440630009, -8.721442821599993)),
+    (charpoly_bd_bd, 14, 1.1, 0.8, 0.4, 1.2, _VANISHING_Z,
+     11.888133931008053),
+    (charpoly_bd_bd, 4, 0.25, 0.25, 0.25, 0.5, -0.2, 0.005850000000000003),
+    (charpoly_bd_bd, 6, 1.3, 0.6, 0.45, 0.9, 0.5 - 1.2j,
+     complex(11.4329839375, 4.835682)),
+    (charpoly_bd_bd, 11, 0.9, 0.5, 0.25, 0.75, 0.3 + 0.4j,
+     complex(-0.001282661626616238, 0.025368245951250014)),
+    (charpoly_bd_bd, 3, 0.49, 0.21, 0.09, 0.3, 0.1, 0.01827900000000001),
+    (_charpoly_bd_bd_odd_raw, 7, 1.0, 0.5, 0.3, 0.9, 1.25 - 0.5j,
+     complex(0.29513846171874997, 0.16805277343749997)),
+])
+def test_charpoly_values_are_pinned_bit_for_bit(func, n, e, b, c, d, lam,
+                                                expected):
+    # Recorded values, compared exactly: a rewrite of the formulas that
+    # changes a single rounding fails here even where it stays well inside
+    # the determinant tolerances above.
+    params = PentaParams(alpha=0.0, beta=0.0, e=e, b=b, c=c, d=d, n=n)
+    assert func(params, lam) == expected
 
 
 # --- closed-form spectra -------------------------------------------------------

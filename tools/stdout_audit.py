@@ -26,8 +26,9 @@ complex-pair branches, the pairing's repeated-eigenvalue greedy and
 real-distance pairing at n = 2000, the plane oracle's square roots of s^2
 and 1 - s^2 at the smallest orders, odd and even orders up to 2000 on both
 sides of 1/2 and a weight of 1e-300, weight stacks at every residue mod 4
-up to the largest numeric order, w = 0 inside a stack, and verify's spectra
-suite with several stacks per group.
+up to the largest numeric order, w = 0 inside a stack, verify's spectra
+suite with several stacks per group, and verify's charpoly suite on its
+own, at its order floor among others.
 """
 from __future__ import annotations
 
@@ -57,6 +58,8 @@ COMMANDS = [
     "verify --n-max 47 --seed 3",
     "verify --n-max 60 --seed 1825750039",
     "verify --scope spectra --n-max 150",
+    "verify --scope charpoly --n-max 51 --seed 0",
+    "verify --scope charpoly --n-max 4 --seed 5",
     "spectrum --n 3 --w 0.5",
     "spectrum --n 4 --w 0.5",
     "spectrum --n 3 --p 1",
