@@ -300,10 +300,10 @@ def cmd_spectrum(args) -> int:
 
 
 # --- verify suites -------------------------------------------------------
-# Every suite takes (n_max, seed) and returns its worst discrepancy.
+# Every suite takes (n_max, seed) and yields each discrepancy it computes.
 
 
-def _suite_spectra(n_max: int, seed: int) -> float:
+def _suite_spectra(n_max: int, seed: int):
     # The w-grid plus the link-failure weights (1-p)*w at w = 1/2, each
     # solved once.
     weights = sorted(set(_parse_grid("0.05:0.95:0.05"))
@@ -311,7 +311,6 @@ def _suite_spectra(n_max: int, seed: int) -> float:
                         for p in _parse_grid("0:0.9:0.1")})
     groups = ([w for w in weights if w <= 0.5],
               [w for w in weights if w > 0.5])
-    worst = 0.0
     for n in range(3, n_max + 1):
         # The dense reference, oracle.isospectral_matrix.  A group (the
         # weights on one side of 1/2, where that matrix switches) is solved
@@ -322,16 +321,13 @@ def _suite_spectra(n_max: int, seed: int) -> float:
                 nums = oracle.full_spectrum(stack).eigenvalues
                 anas = pentadiag.analytic_eigenvalues(
                     pentadiag.weighted_gossip_params(n, chunk))
-                worst = max(worst,
-                            oracle.spectrum_match_distance(anas, nums))
-    return worst
+                yield oracle.spectrum_match_distance(anas, nums)
 
 
-def _suite_charpoly(n_max: int, seed: int) -> float:
+def _suite_charpoly(n_max: int, seed: int):
     rng = np.random.default_rng(seed)
     orders = sorted({o for o in (5, 6, 13, 14, 27, 28, 50, 51)
                      if o <= max(n_max, 6)})
-    worst = 0.0
     for n in orders:
         for _ in range(3):
             # Python floats and complexes: the charpoly recurrences step
@@ -347,24 +343,18 @@ def _suite_charpoly(n_max: int, seed: int) -> float:
                 a = pentadiag.penta_matrix(params, corners)
                 dets = oracle.determinant_shifted(a, lams).tolist()
                 for lam, det in zip(lams.tolist(), dets):
-                    val = fam(params, lam)
-                    worst = max(worst,
-                                abs(val - det) / max(1.0, abs(det)))
-    return worst
+                    yield abs(fam(params, lam) - det) / max(1.0, abs(det))
 
 
-def _suite_failure_matrix(n_max: int, seed: int) -> float:
-    worst = 0.0
+def _suite_failure_matrix(n_max: int, seed: int):
     ps = _parse_grid("0:1:0.1")
     for n in range(3, min(n_max, 10) + 1):
         exacts = oracle.enumerate_failure_expectation(n, ps)
         builts = matrices.expected_failure_matrix(n, ps)
-        worst = max(worst, float(np.abs(exacts - builts).max()))
-    return worst
+        yield float(np.abs(exacts - builts).max())
 
 
-def _suite_simulator(n_max: int, seed: int) -> float:
-    worst = 0.0
+def _suite_simulator(n_max: int, seed: int):
     # Below n_max = 4 the grid of orders is empty: check n_max itself.
     for n in range(4, min(n_max, 16) + 1, 4) or [n_max]:
         for w in (0.3, 0.5, 0.7):
@@ -372,11 +362,15 @@ def _suite_simulator(n_max: int, seed: int) -> float:
                                    max_periods=200, tolerance=1e-12)
             probe = np.zeros(n)
             probe[0] = 1.0
-            result = sim.run_periodic_gossip(config, probe)
+            rate = sim.run_periodic_gossip(config, probe).empirical_rate
             target = rates.rate_weighted(n, w).rate
-            if result.empirical_rate is not None:
-                worst = max(worst, abs(result.empirical_rate - target))
-    return worst
+            yield math.nan if rate is None else abs(rate - target)
+
+
+def _worst(discrepancies) -> float:
+    """The largest of a suite's discrepancies, 0.0 for none; NaN if any is
+    NaN, which np.max propagates where max drops it, so that NaN fails."""
+    return float(np.max(np.fromiter(discrepancies, float), initial=0.0))
 
 
 VERIFY_SUITES = {
@@ -401,7 +395,7 @@ def cmd_verify(args) -> int:
     failed = False
     for scope in scopes:
         suite, tol, label = VERIFY_SUITES[scope]
-        worst = suite(args.n_max, args.seed)
+        worst = _worst(suite(args.n_max, args.seed))
         ok = worst <= tol
         failed |= not ok
         print(f"{scope:<16} {label}: {worst:.3e} "
@@ -432,11 +426,12 @@ def _rows_table2() -> tuple[tuple[str, ...], list[dict]]:
     return fields + ("reference_rate", "reference_inconsistent"), rows
 
 
-def _rows_rate(ns: list[int],
-               ws: list[float]) -> tuple[tuple[str, ...], list[dict]]:
-    fields = ("n", "w", "rate")
-    rows = [{"n": n, "w": w, "rate": rates.rate_weighted(n, w).rate}
-            for n in ns for w in ws]
+def _rows_rate(ns: list[int], kind: str,
+               values: list[float]) -> tuple[tuple[str, ...], list[dict]]:
+    fields = ("n", kind, "rate")
+    rows = [{"n": n, kind: v, "rate": rates.rate_weighted(
+                n, matrices._expected_weight(**{kind: v})).rate}
+            for n in ns for v in values]
     return fields, rows
 
 
@@ -446,27 +441,17 @@ def _rows_relative_error(ns: list[int]) -> tuple[tuple[str, ...], list[dict]]:
     return fields, rows
 
 
-def _rows_fig7() -> tuple[tuple[str, ...], list[dict]]:
-    fields = ("n", "p", "rate")
-    # rate_link_failure's rate, with one rates call a row.
-    rows = [{"n": n, "p": p,
-             "rate": rates.rate_weighted(
-                 n, matrices._expected_weight(p=p)).rate}
-            for n in (5, 10, 15, 20) for p in _parse_grid("0:1:0.05")]
-    return fields, rows
-
-
 REPRODUCE_TARGETS = {
     "table1": lambda: _rows_tuned(list(range(4, 21))),
     "table2": _rows_table2,
-    "fig2": lambda: _rows_rate(list(range(3, 101)), [0.5]),
-    "fig3": lambda: _rows_rate([4, 8, 12, 16, 20],
+    "fig2": lambda: _rows_rate(list(range(3, 101)), "w", [0.5]),
+    "fig3": lambda: _rows_rate([4, 8, 12, 16, 20], "w",
                                _parse_grid("0.05:0.95:0.05")),
-    "fig4": lambda: _rows_rate(list(range(100, 1001, 100)),
+    "fig4": lambda: _rows_rate(list(range(100, 1001, 100)), "w",
                                _parse_grid("0.05:0.95:0.05")),
     "fig5": lambda: _rows_relative_error(list(range(4, 101))),
     "fig6": lambda: _rows_relative_error(list(range(100, 1001, 10))),
-    "fig7": _rows_fig7,
+    "fig7": lambda: _rows_rate([5, 10, 15, 20], "p", _parse_grid("0:1:0.05")),
 }
 
 

@@ -15,7 +15,8 @@ residual with the eigenvalues.  Both send an input exactly equal to its
 transpose to the symmetric driver (np.linalg.eigvalsh, np.linalg.eigh),
 about an eighth of the general solve's flops, and any other input to the
 general one (np.linalg.eigvals, np.linalg.eig).  All share one split, one
-symmetry test, one order limit and one failure fingerprint.
+symmetry test, one order limit and one failure fingerprint; a NaN or
+infinite entry in their input is a ValueError that names it.
 
 Both solvers also take a (k, n, n) stack of matrices, and
 determinant_shifted takes an array of shifts; either way the whole batch is
@@ -147,6 +148,7 @@ def _solve(a, solver):
     try:
         values, extra = solver(reflection_halves(m))
     except np.linalg.LinAlgError as exc:
+        _reject_non_finite(m)
         import hashlib  # only on this path: keeps package import fast
         n = m.shape[-1]
         digest = hashlib.sha256(m.tobytes()).hexdigest()[:16]
@@ -154,7 +156,16 @@ def _solve(a, solver):
                 else f"{n}x{n} matrix")
         raise RuntimeError(f"eigensolver failed to converge on the {what} "
                            f"(sha256 {digest})") from exc
+    if not np.isfinite(values).all():  # O(n); m itself only on failure
+        _reject_non_finite(m)
     return values.reshape(m.shape[:-1]), extra
+
+
+def _reject_non_finite(m: np.ndarray) -> None:
+    bad = np.argwhere(~np.isfinite(m))
+    if len(bad):
+        named = (f"{m[i]} at {i}" for i in map(tuple, bad[:3].tolist()))
+        raise ValueError(f"{len(bad)} non-finite entries: {', '.join(named)}")
 
 
 def _symmetric(m: np.ndarray) -> bool:
@@ -174,6 +185,8 @@ def _eig(m: np.ndarray):
     its eigenvectors go with this call."""
     solve = np.linalg.eigh if _symmetric(m) else np.linalg.eig
     values, vectors = solve(m)
+    if not np.isfinite(values).all():
+        return values, np.nan  # a non-finite input: _solve rejects it
     defects = np.linalg.norm(m @ vectors - vectors * values[..., None, :],
                              axis=-2)
     scale = np.maximum(np.linalg.norm(m, axis=(-2, -1)), 1e-300)
@@ -423,6 +436,7 @@ def spectral_gap_numeric(a) -> float:
     """1 - (second largest eigenvalue modulus) of a doubly stochastic
     matrix, from eigenvalues()."""
     m = _as_matrices(_as_square_array(a))
+    _reject_non_finite(m)
     ones = np.ones(m.shape[0])
     if np.abs(m @ ones - ones).max() > 1e-9 or \
             np.abs(m.T @ ones - ones).max() > 1e-9:

@@ -14,7 +14,10 @@ Proves:
      shipped implementation, the simulator suite simulates even below
      n_max = 4, and argument validation fails loudly: a negative --seed
      is a usage error (exit code 2) for verify and simulate before any
-     suite or simulation runs.
+     suite or simulation runs.  A suite's line prints the largest of its
+     discrepancies; a NaN among them (a NaN closed form, expected matrix
+     or simulator run that measures no rate) prints nan and FAIL, and
+     verify exits 1.
   4. The report commands and spectrum read eigenvalues only: they run with
      the eigenpair solver disabled.  They take W(w)'s eigenvalues from its
      planes (oracle.plane_eigenvalues): they run with every n x n builder
@@ -49,15 +52,17 @@ Proves:
      matrices, with one builder call.
 """
 import csv
+import dataclasses
 import io
 import json
+import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from latticegossip import cli, matrices, oracle, pentadiag, rates
+from latticegossip import cli, matrices, oracle, pentadiag, rates, sim
 from latticegossip.cli import REPORT_FIELDS, SPECTRUM_FIELDS, main
 from latticegossip.rates import rate_link_failure, rate_weighted, relative_error
 
@@ -309,7 +314,7 @@ def test_reproduce_fig7_failed_network_rows_are_zero(capsys):
 
 
 def test_reproduce_fig7_rows_take_one_rate_call_each(monkeypatch):
-    rows = cli._rows_fig7()[1]
+    rows = cli.REPRODUCE_TARGETS["fig7"]()[1]
     expected = [rate_link_failure(r["n"], r["p"]).rate for r in rows]
     calls = []
     weighted = rates.rate_weighted
@@ -323,7 +328,7 @@ def test_reproduce_fig7_rows_take_one_rate_call_each(monkeypatch):
 
     monkeypatch.setattr(rates, "rate_weighted", counted)
     monkeypatch.setattr(rates, "rate_link_failure", must_not_run)
-    assert [r["rate"] for r in cli._rows_fig7()[1]] == expected
+    assert [r["rate"] for r in cli.REPRODUCE_TARGETS["fig7"]()[1]] == expected
     assert len(calls) == len(rows) == 84
 
 
@@ -375,6 +380,30 @@ def test_verify_scopes_that_cap_their_orders_accept_any_n_max(capsys, scope):
     code, out = run_cli(capsys, "verify", "--scope", scope, "--n-max", "2500")
     assert code == 0
     assert "overall: PASS" in out
+
+
+def nan_like(func):
+    return lambda *args: np.full_like(func(*args), np.nan)
+
+
+@pytest.mark.parametrize("scope, module, name, patch", [
+    ("spectra", pentadiag, "analytic_eigenvalues", nan_like),
+    ("charpoly", pentadiag, "charpoly_bd_bd", lambda f: lambda *a: math.nan),
+    ("failure-matrix", matrices, "expected_failure_matrix", nan_like),
+    ("simulator", sim, "run_periodic_gossip", lambda f: lambda *a:
+        dataclasses.replace(f(*a), empirical_rate=None)),
+])
+def test_verify_fails_a_nan_discrepancy(monkeypatch, capsys, scope, module,
+                                        name, patch):
+    # One NaN among a suite's discrepancies, or a simulator run that
+    # measures no rate, prints nan and fails, where max() would drop it.
+    monkeypatch.setattr(module, name, patch(getattr(module, name)))
+    code, out = run_cli(capsys, "verify", "--scope", scope, "--n-max", "12")
+    line, overall = out.splitlines()
+    assert code == 1
+    assert line.startswith(scope) and line.endswith("FAIL")
+    assert ": nan (tolerance" in line
+    assert overall == "overall: FAIL"
 
 
 # Each stacked suite written as a loop over one matrix, one weight, one
@@ -439,7 +468,7 @@ def looped_failure_matrix(n_max, seed):
 def test_stacked_suite_returns_the_float_of_the_looped_suite(scope, looped,
                                                              n_max, seed):
     suite = cli.VERIFY_SUITES[scope][0]
-    assert suite(n_max, seed) == looped(n_max, seed)
+    assert cli._worst(suite(n_max, seed)) == looped(n_max, seed)
 
 
 @pytest.mark.parametrize("n_max", [3, 12, 60])
@@ -459,7 +488,7 @@ def test_spectra_suite_pairs_each_solved_stack_in_one_call(monkeypatch,
 
     monkeypatch.setattr(oracle, "full_spectrum", solving)
     monkeypatch.setattr(oracle, "spectrum_match_distance", matching)
-    cli._suite_spectra(n_max, 0)
+    list(cli._suite_spectra(n_max, 0))
     assert calls == ["solve", "match"] * (len(calls) // 2)
     assert len(calls) >= 2 * 2 * (n_max - 2)
 
@@ -485,13 +514,13 @@ def test_verify_suites_build_each_stack_with_one_call(monkeypatch, n_max):
     monkeypatch.setattr(oracle, "isospectral_matrix", building)
     monkeypatch.setattr(oracle, "full_spectrum", solving)
     monkeypatch.setattr(matrices, "expected_failure_matrix", failure_building)
-    cli._suite_spectra(n_max, 0)
+    list(cli._suite_spectra(n_max, 0))
     # One build of a 1-D weight array before each stacked solve, of its size.
     assert len(calls) >= 2 * 2 * (n_max - 2)
     for (b, shape), (s, size) in zip(calls[::2], calls[1::2]):
         assert (b, s) == ("build", "solve") and shape == size
     calls.clear()
-    cli._suite_failure_matrix(n_max, 0)
+    list(cli._suite_failure_matrix(n_max, 0))
     assert calls == [("failure", (11,))] * (min(n_max, 10) - 2)
 
 
@@ -539,7 +568,7 @@ def test_spectra_stacks_stay_within_their_byte_cap(monkeypatch):
     cap = 5 * 8 * 12 * 12
     monkeypatch.setattr(cli, "STACK_BYTES", cap)
     solves = record_suite_solves(monkeypatch)
-    assert cli._suite_spectra(30, 0) == looped
+    assert cli._worst(cli._suite_spectra(30, 0)) == looped
     for n in range(3, 31):
         stacks = [(ws, shape, drivers)
                   for m, ws, shape, drivers, _ in solves if m == n]
@@ -561,7 +590,7 @@ def test_spectra_stacks_stay_within_their_byte_cap(monkeypatch):
 
 def test_spectra_suite_is_within_1e_13_of_the_unreduced_solve(monkeypatch):
     solves = record_suite_solves(monkeypatch)
-    cli._suite_spectra(60, 0)
+    list(cli._suite_spectra(60, 0))
     monkeypatch.undo()
     for n in range(3, 61):
         reduced = {w: num for m, ws, _, _, nums in solves if m == n

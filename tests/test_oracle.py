@@ -30,7 +30,11 @@ Proves:
      verify's weights up to n = 60; an array of shifts gives the bits of
      its one-shift determinants; a failed solve names the whole input's
      sha256 digest, also when it fails on a matrix's reflection halves;
-     the one-matrix entry points still reject a stack.
+     the one-matrix entry points still reject a stack.  A NaN or +-inf
+     entry in a matrix or a stack is a ValueError naming the non-finite
+     entries, from eigenvalues, full_spectrum and (on a matrix)
+     spectral_gap_numeric, symmetric input included; finite input is
+     never scanned for them.
   9. For w <= 1/2 isospectral_matrix's S1(h) S2(w) S1(h) = W(h)^T W(h)
      stands in for W(w): it runs the three rounds as two periods through
      matrices.apply_period, h on the odd edges of both with
@@ -527,6 +531,51 @@ def test_failed_stack_solve_names_a_sha256_fingerprint(monkeypatch, solver,
     assert len(calls) == fails_at
     assert hashlib.sha256(stack.tobytes()).hexdigest()[:16] in str(info.value)
     assert what in str(info.value)
+
+
+def with_entries(a, index_pairs, value):
+    a = np.array(a)
+    for index in index_pairs:
+        a[index] = value
+    return a
+
+
+# (input with a non-finite value at each index, those indices).  A
+# symmetric matrix reaches the symmetric driver, which raises nothing on
+# inf; a stack names the matrix as its first index.
+NON_FINITE_INPUTS = [
+    (lambda v: with_entries(np.full((4, 4), 0.25), [(0, 1), (1, 0)], v),
+     [(0, 1), (1, 0)]),
+    (lambda v: with_entries(gossip_stack(5, [0.3, 0.6]), [(1, 2, 3)], v),
+     [(1, 2, 3)]),
+]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("entry, make, where", [
+    pytest.param(entry, make, where, id=f"{entry.__name__}-{kind}")
+    for (make, where), kind in zip(NON_FINITE_INPUTS, ["matrix", "stack"])
+    for entry in (eigenvalues, full_spectrum, spectral_gap_numeric)
+    if kind == "matrix" or entry is not spectral_gap_numeric
+])
+def test_non_finite_input_is_a_value_error_naming_its_entries(entry, make,
+                                                              where, value):
+    with pytest.raises(ValueError) as info:
+        entry(make(value))
+    message = str(info.value)
+    assert f"{len(where)} non-finite entries" in message
+    for index in where:
+        assert f"{value} at {index}" in message
+
+
+def test_finite_input_is_never_scanned_for_non_finite_entries(monkeypatch):
+    def must_not_run(m):
+        raise AssertionError("finite input scanned for non-finite entries")
+
+    monkeypatch.setattr(oracle, "_reject_non_finite", must_not_run)
+    eigenvalues(gossip_stack(6, [0.3, 0.8]))
+    full_spectrum(isospectral_matrix(7, [0.2, 0.4]))
+    oracle.plane_eigenvalues(64, [0.3, 0.8])
 
 
 # --- symmetric oracle matrix for w <= 1/2 --------------------------------------------

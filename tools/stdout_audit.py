@@ -27,8 +27,9 @@ real-distance pairing at n = 2000, the plane oracle's square roots of s^2
 and 1 - s^2 at the smallest orders, odd and even orders up to 2000 on both
 sides of 1/2 and a weight of 1e-300, weight stacks at every residue mod 4
 up to the largest numeric order, w = 0 inside a stack, verify's spectra
-suite with several stacks per group, and verify's charpoly suite on its
-own, at its order floor among others.
+suite with several stacks per group, verify's charpoly suite on its
+own, at its order floor among others, and the simulator and failure-matrix
+suites each on its own at its floor (the simulator's at n_max itself).
 """
 from __future__ import annotations
 
@@ -60,6 +61,8 @@ COMMANDS = [
     "verify --scope spectra --n-max 150",
     "verify --scope charpoly --n-max 51 --seed 0",
     "verify --scope charpoly --n-max 4 --seed 5",
+    "verify --scope simulator --n-max 3",
+    "verify --scope failure-matrix --n-max 3",
     "spectrum --n 3 --w 0.5",
     "spectrum --n 4 --w 0.5",
     "spectrum --n 3 --p 1",
