@@ -21,19 +21,19 @@ REPORT_FIELDS = ("n", "w", "p", "analytic_rate", "numeric_rate",
                  "empirical_rate", "lambda2_modulus", "regime")
 
 # Largest order for which sweep/rate commands attach the numeric
-# cross-check column (one oracle.plane_eigenvalues call per order).
+# cross-check column (one oracle._plane_rates call per order and chunk).
 NUMERIC_RATE_MAX_N = 512
 
 # Most bytes of one stacked oracle call's main array (see _stacks).  A
-# report's plane_eigenvalues call returns (k, n) eigenvalue rows, 8 n bytes
-# each: 256 weights at n = 512, so every grid up to that size takes one
-# call per order, while the call's temporaries, a few times its output,
-# stay a few MiB however long the grid.  verify's spectra suite solves
-# stacks of n x n matrices, 8 n^2 bytes each, in two groups per order, its
-# 13 weights w <= 1/2 and its 9 above: a whole group fits in one stack up
-# to n = 100 (w <= 1/2) and 120 (w > 1/2), so the per-call cost is paid
-# twice per order; from n = 257 each matrix is solved alone, so peak memory
-# at large n stays that of one solve.
+# report's _plane_rates call solves one 2x2 plane per weight, 32 bytes
+# each, so up to 32768 weights share one call and its one top-cosine
+# solve, while the call's temporaries stay a few MiB however long the
+# grid.  verify's spectra suite solves stacks of n x n matrices, 8 n^2
+# bytes each, in two groups per order, its 13 weights w <= 1/2 and its 9
+# above: a whole group fits in one stack up to n = 100 (w <= 1/2) and 120
+# (w > 1/2), so the per-call cost is paid twice per order; from n = 257
+# each matrix is solved alone, so peak memory at large n stays that of one
+# solve.
 STACK_BYTES = 1 << 20
 
 # Most points a --*-range or --*-grid argument may expand to, and most rows
@@ -194,13 +194,12 @@ def _stacks(values: list[float], item_bytes: int):
 
 def _numeric_rates(n: int, weights: list[float]) -> list[float | None]:
     """The numeric_rate cells of report rows of order n at the given
-    expected weights: 1 - |lambda_2| of each row of one
-    oracle.plane_eigenvalues call per STACK_BYTES of its output, or None
-    above NUMERIC_RATE_MAX_N."""
+    expected weights: 1 - |lambda_2| from one oracle._plane_rates call
+    per STACK_BYTES of its 2x2 planes, or None above NUMERIC_RATE_MAX_N."""
     if n > NUMERIC_RATE_MAX_N:
         return [None] * len(weights)
-    return [oracle._gap(eigs) for chunk in _stacks(weights, 8 * n)
-            for eigs in oracle.plane_eigenvalues(n, chunk)]
+    return [rate for chunk in _stacks(weights, 32)
+            for rate in oracle._plane_rates(n, chunk).tolist()]
 
 
 def _report_rows(ns: list[int], cells: list[tuple[float | None, float | None]],

@@ -9,7 +9,8 @@ Agreement between these engines and the analytic expressions is therefore
 evidence, not tautology.
 
 The solver comes in two strengths.  eigenvalues() solves for the eigenvalues
-alone; spectral_gap_numeric and plane_eigenvalues read nothing else.
+alone; spectral_gap_numeric, plane_eigenvalues and _plane_rates read
+nothing else.
 full_spectrum() also solves for the eigenvectors and returns the eigenpair
 residual with the eigenvalues.  Both send an input exactly equal to its
 transpose to the symmetric driver (np.linalg.eigvalsh, np.linalg.eigh),
@@ -62,9 +63,20 @@ of (I - 2w P2)(I - 2w P1) is solved by eigenvalues() too.  The consensus
 direction adds 1, and at even n the one edge direction of the second
 matching left unpaired adds 1 - 2w.  The cosines depend on n alone, so a
 1-D array of k weights takes one cosine solve and one (k m1, 2, 2) stack.
-Nothing of the closed forms, and no cos(k pi / n), enters; the report
-path's numeric columns (the CLI's rate rows, one call per order, and
-spectrum) come from here.
+Nothing of the closed forms, and no cos(k pi / n), enters; spectrum's
+numeric columns come from here.
+
+_plane_rates(n, w) gives the rate 1 - |lambda_2| of W(w), the report rows'
+numeric column, from the plane of the largest cosine alone: a plane's
+spectral radius does not decrease with its cosine, so that plane bounds
+every other one and the unpaired 1 - 2w (the proof is in its docstring).
+The largest eigenvalue of the tridiagonal C C^T comes from Newton's method
+on the L D L^T pivots of C C^T - xI, run in Python floats from
+Gershgorin's upper bound down, in O(n) per step with no dense solve, and a
+Sturm count of the negative pivots (W. Barth, R. S. Martin and
+J. H. Wilkinson, Numer. Math. 9, 1967) must confirm it, or the call is a
+RuntimeError.  The one plane per weight, a (k, 2, 2) stack, is solved by
+eigenvalues().
 
 isospectral_matrix(n, w) builds the matrix verify's spectra suite solves
 for W(w), or for an array of weights on one side of 1/2 the stack of
@@ -115,12 +127,22 @@ def determinant_shifted(a, lam):
     """det(A - lam*I) by LU elimination with partial pivoting over complex.
 
     A scalar shift gives a complex; an array of shifts gives a complex array
-    of the same shape, from one stacked LU call.
+    of the same shape, from one stacked LU call.  A NaN or infinite entry
+    of the matrix or of the shifts is a ValueError that names it, as in
+    the solvers; the input is scanned only where a determinant comes out
+    non-finite.
     """
-    m = _as_square_array(a).astype(complex)
+    m = _as_square_array(a)
     lams = np.asarray(lam, dtype=complex)
-    shifted = m - lams[..., None, None] * np.eye(m.shape[0], dtype=complex)
-    dets = np.linalg.det(shifted)
+    # A non-finite entry or shift gives a non-finite determinant: checked
+    # below, so numpy's warning on the way there is kept quiet.
+    with np.errstate(invalid="ignore"):
+        shifted = m - lams[..., None, None] * np.eye(m.shape[0],
+                                                     dtype=complex)
+        dets = np.linalg.det(shifted)
+    if not np.isfinite(dets).all():  # O(k); m and lams only on failure
+        _reject_non_finite(m)
+        _reject_non_finite(np.atleast_1d(lams))
     return complex(dets) if lams.ndim == 0 else dets
 
 
@@ -349,6 +371,18 @@ def isospectral_matrix(n: int, w) -> np.ndarray:
     return out if ws.ndim else out[0]
 
 
+def _edge_meetings(rows: np.ndarray, cols: np.ndarray, n: int):
+    """The index pairs (a, b) of the rows edges that one cols edge meets at
+    its two ends, (m, 2) node-pair arrays of two matchings of the n-node
+    path: one pair per 1/4 term of C C^T (see _edge_gram), in O(n)."""
+    rows_at = np.full(n + 1, -1)
+    rows_at[rows] = np.arange(len(rows))[:, None]
+    ends = rows_at[cols]
+    a, b = ends[:, [0, 0, 1, 1]], ends[:, [0, 1, 0, 1]]
+    meet = (a >= 0) & (b >= 0)
+    return a[meet], b[meet]
+
+
 def _edge_gram(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
     """The Gram matrix C C^T of C[a, b] = u_a . u_b, u the unit edge
     vectors of the (m, 2) node-pair arrays rows and cols, two matchings of
@@ -361,13 +395,8 @@ def _edge_gram(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
     every pair of rows edges b meets.  Each entry is a sum of at most two
     1/4s, so exact, with the bits of the dense product.
     """
-    rows_at = np.full(n + 1, -1)
-    rows_at[rows] = np.arange(len(rows))[:, None]
-    ends = rows_at[cols]
-    a, b = ends[:, [0, 0, 1, 1]], ends[:, [0, 1, 0, 1]]
-    meet = (a >= 0) & (b >= 0)
     gram = np.zeros((len(rows), len(rows)))
-    np.add.at(gram, (a[meet], b[meet]), 0.25)
+    np.add.at(gram, _edge_meetings(rows, cols, n), 0.25)
     return gram
 
 
@@ -387,6 +416,113 @@ def _cosines_squared(n: int) -> np.ndarray:
     return np.delete(cos2, null)
 
 
+def _gram_bands(n: int) -> tuple[list[float], list[float]]:
+    """The diagonal of C C^T at order n and its off-diagonal entry
+    T[i - 1, i] at each row i (0 at row 0), as Python floats, from the
+    Gram's 1/4 terms in O(n)."""
+    e1, e2 = matrices.optimal_schedule(n)
+    a, b = _edge_meetings(e1, e2, n)
+    if np.abs(a - b).max() > 1:
+        raise RuntimeError(f"the Gram C C^T at n={n} is not tridiagonal")
+    m = len(e1)
+    diag = 0.25 * np.bincount(a[a == b], minlength=m)
+    off = 0.25 * np.bincount(b[b == a + 1], minlength=m)
+    return diag.tolist(), off.tolist()
+
+
+def _newton_step(diag: list[float], off2: list[float], x: float) -> float:
+    """f(x) / f'(x) for f(x) = det(T - xI), T the symmetric tridiagonal of
+    diagonal diag and squared off-diagonal off2 (off2[0] = 0): the pivots
+    d_i of T - xI = L D L^T and their derivatives d_i' in x give
+    f' / f = sum d_i' / d_i.  0.0 (no step) where a pivot is exactly 0 or
+    the sum is not positive: above the largest eigenvalue every pivot is
+    negative and the sum positive, so either means x is no longer above
+    it."""
+    d, dd, ratio = 1.0, 0.0, 0.0
+    for a, b2 in zip(diag, off2):
+        q = b2 / d
+        dd = q * dd / d - 1.0
+        d = a - x - q
+        if d == 0.0:
+            return 0.0
+        ratio += dd / d
+    return 1.0 / ratio if ratio > 0.0 else 0.0
+
+
+def _newton_from_above(diag: list[float], off2: list[float],
+                       x: float) -> float:
+    """The largest eigenvalue of T (see _newton_step) by Newton's method
+    from x, an upper bound on it.  Every root of det(T - xI) is real, so
+    right of the largest one it keeps one sign and its magnitude grows and
+    is convex: the iterates fall monotonically onto that root.  The last
+    iterate that still fell is returned."""
+    while True:
+        step = _newton_step(diag, off2, x)
+        if not x - step < x:
+            return x
+        x -= step
+
+
+def _eigenvalues_below(diag: list[float], off2: list[float],
+                       x: float) -> int:
+    """The number of eigenvalues of T (see _newton_step) below x: the
+    negative pivots of T - xI = L D L^T, by Sylvester's law of inertia
+    (the Sturm count of Barth, Martin and Wilkinson, Numer. Math. 9,
+    1967).  A pivot exactly 0 is taken as the smallest negative normal
+    float, the pivot of a shift just above x."""
+    count, d = 0, 1.0
+    for a, b2 in zip(diag, off2):
+        d = a - x - b2 / d
+        if d == 0.0:
+            d = -float(np.finfo(float).tiny)
+        count += d < 0.0
+    return count
+
+
+def _top_cosine_squared(n: int) -> float:
+    """The largest squared principal cosine between the two matchings of
+    the n-node path: the largest eigenvalue of the tridiagonal C C^T, by
+    Newton's method from Gershgorin's upper bound, in O(n) per step.
+
+    A Sturm count certifies it: exactly one eigenvalue lies within m eps
+    of the result (m the Gram's order, whose eigenvalues lie in [0, 1])
+    and none above; anything else is a RuntimeError.
+    """
+    diag, off = _gram_bands(n)
+    off2 = [b * b for b in off]
+    upper = max(a + abs(b) + abs(c)
+                for a, b, c in zip(diag, off, off[1:] + [0.0]))
+    top = _newton_from_above(diag, off2, upper)
+    m = len(diag)
+    tol = m * float(np.finfo(float).eps)
+    if _eigenvalues_below(diag, off2, top + tol) != m or \
+            _eigenvalues_below(diag, off2, top - tol) != m - 1:
+        raise RuntimeError(f"a Sturm count at n={n} does not confirm "
+                           f"{top!r} as the largest eigenvalue of C C^T "
+                           f"within {tol:.1e}")
+    return top
+
+
+def _check_plane_order(n: int) -> None:
+    if not 3 <= n <= MAX_SPECTRUM_ORDER:
+        raise ValueError(f"plane eigenvalues need 3 <= n <= "
+                         f"{MAX_SPECTRUM_ORDER}, got n={n}")
+
+
+def _planes(cos2: np.ndarray, ws: np.ndarray) -> np.ndarray:
+    """The (k m, 2, 2) stack of planes (I - 2w P2)(I - 2w P1), one per
+    weight of ws (k of them) and squared cosine of cos2 (m), weight by
+    weight."""
+    sc = np.sqrt(cos2) * np.sqrt(1.0 - cos2)
+    p2 = np.stack([cos2, sc, sc, 1.0 - cos2], axis=-1).reshape(-1, 2, 2)
+    # P1 = diag(1, 0): the product is I - 2w P2 with its first column
+    # times 1 - 2w.
+    two_w = (2.0 * ws).reshape(-1, 1, 1)
+    planes = np.eye(2) - two_w[..., None] * p2
+    planes[..., 0] *= 1.0 - two_w
+    return planes.reshape(-1, 2, 2)
+
+
 def plane_eigenvalues(n: int, w) -> np.ndarray:
     """The n eigenvalues of the period matrix W(w) = S2 S1 from its
     invariant planes (see the module docstring), with no n x n matrix.
@@ -401,47 +537,64 @@ def plane_eigenvalues(n: int, w) -> np.ndarray:
     (k m1, 2, 2) stack of planes.  Every weight is checked before any
     solve.
     """
-    if not 3 <= n <= MAX_SPECTRUM_ORDER:
-        raise ValueError(f"plane eigenvalues need 3 <= n <= "
-                         f"{MAX_SPECTRUM_ORDER}, got n={n}")
+    _check_plane_order(n)
     ws = matrices._unit_values(w, "gossip weight")
     k = ws.size
-    cos2 = _cosines_squared(n)
-    sc = np.sqrt(cos2) * np.sqrt(1.0 - cos2)
-    p2 = np.stack([cos2, sc, sc, 1.0 - cos2], axis=-1).reshape(-1, 2, 2)
-    # (I - 2w P2)(I - 2w P1), P1 = diag(1, 0): the first column times
-    # 1 - 2w.
-    two_w = (2.0 * ws).reshape(k, 1, 1)
-    planes = np.eye(2) - two_w[..., None] * p2
-    planes[..., 0] *= 1.0 - two_w
-    values = eigenvalues(planes.reshape(-1, 2, 2)).reshape(k, -1)
+    values = eigenvalues(_planes(_cosines_squared(n), ws)).reshape(k, -1)
     tail = np.empty((k, n - values.shape[1]))
     tail[:, 0] = 1.0
-    tail[:, 1:] = 1.0 - two_w[:, 0]
+    tail[:, 1:] = 1.0 - (2.0 * ws).reshape(k, 1)
     out = np.concatenate([values, tail], axis=1)
     return out if ws.ndim else out[0]
 
 
-def _gap(eigs: np.ndarray) -> float:
-    """1 - (second largest modulus) of a spectrum: the largest modulus
-    once the entry nearest 1 is set aside."""
-    idx = int(np.argmin(np.abs(eigs - 1.0)))
-    rest = np.delete(eigs, idx)
-    if rest.size == 0:
-        return 1.0
-    return 1.0 - float(np.abs(rest).max())
+def _plane_rates(n: int, w) -> np.ndarray:
+    """1 - |lambda_2| of the period matrix W(w), from its top plane alone:
+    the plane of the largest principal cosine s (_top_cosine_squared),
+    solved by eigenvalues(), and nothing else of W(w).
+
+    This is exact, not an approximation.  In its plane's basis every
+    round is I - 2w P with P a rank-one projection, so every plane has
+    det (1 - 2w)^2 and trace 2 - 4w + 4w^2 s^2.  Its eigenvalues are the
+    roots of x^2 - t x + D, D = (1 - 2w)^2: a pair of modulus sqrt(D) while
+    |t| <= 2 sqrt(D), else real with spectral radius
+    (|t| + sqrt(t^2 - 4D)) / 2, which grows with |t|.  The trace does not
+    decrease with s^2 from 2 (1 - 2w) = +-2 sqrt(D) at s = 0, so a plane's
+    spectral radius is sqrt(D) until t passes 2 sqrt(D) and grows after:
+    it is nondecreasing in s.  The top plane's radius therefore bounds every
+    other plane's and the unpaired |1 - 2w| = sqrt(D), and the consensus
+    eigenvalue 1 is never formed.
+
+    Where the top plane has a double eigenvalue, |t| = 2 sqrt(D), its
+    radius moves with the square root of a change in s^2: the few ulps
+    between this s^2 and the dense Gram solve's put the two rates up to
+    about 1e-8 apart there, and within 1e-12 from a relative 1e-4 away in
+    w.
+
+    w is a weight in [0, 1] or a 1-D array of k of them, giving an array
+    of that shape, from one top-cosine solve and one (k, 2, 2) stack of
+    planes.  n must lie in 3..MAX_SPECTRUM_ORDER; n and every weight are
+    checked before any solve.
+    """
+    _check_plane_order(n)
+    ws = matrices._unit_values(w, "gossip weight")
+    values = eigenvalues(_planes(np.array([_top_cosine_squared(n)]), ws))
+    return 1.0 - np.abs(values).max(axis=-1).reshape(ws.shape)
 
 
 def spectral_gap_numeric(a) -> float:
     """1 - (second largest eigenvalue modulus) of a doubly stochastic
-    matrix, from eigenvalues()."""
+    matrix, from eigenvalues(): the largest modulus once the eigenvalue
+    nearest 1 is set aside, and 1.0 for a 1 x 1 matrix."""
     m = _as_matrices(_as_square_array(a))
     _reject_non_finite(m)
     ones = np.ones(m.shape[0])
     if np.abs(m @ ones - ones).max() > 1e-9 or \
             np.abs(m.T @ ones - ones).max() > 1e-9:
         raise ValueError("matrix is not doubly stochastic")
-    return _gap(eigenvalues(m))
+    eigs = eigenvalues(m)
+    rest = np.delete(eigs, int(np.argmin(np.abs(eigs - 1.0))))
+    return 1.0 - float(np.abs(rest).max(initial=0.0))
 
 
 def _as_spectra(eigs_a, eigs_b, stacks: bool):

@@ -20,12 +20,13 @@ Proves:
      verify exits 1.
   4. The report commands and spectrum read eigenvalues only: they run with
      the eigenpair solver disabled.  They take W(w)'s eigenvalues from its
-     planes (oracle.plane_eigenvalues): they run with every n x n builder
-     disabled, on either side of 1/2 and with link failures, and no
-     driver sees a matrix of order n.  A report solves each order once:
-     one Gram solve and one stack of planes for all of its weights, in
-     stacks of at most STACK_BYTES, with the bytes of one command
-     per row for rate, link-failure and sweep-weight.  A simulate row's
+     planes: they run with every n x n builder disabled, on either side of
+     1/2 and with link failures, and no driver sees a matrix of order n.
+     A report solves each order once: one (k, 2, 2) stack of top planes
+     (oracle._plane_rates) for all of its k weights and no symmetric
+     solve, in stacks of at most STACK_BYTES at 32 bytes a plane, with
+     the bytes of one command per row for rate, link-failure and
+     sweep-weight.  A simulate row's
      closed-form and numeric cells are those of the rate row at its
      expected weight.
   5. Bad sizes, bad simulator settings (a period budget too short to
@@ -754,9 +755,9 @@ def test_even_order_solves_only_half_order_blocks(monkeypatch, capsys, argv,
 
 
 def test_report_solves_each_order_once(monkeypatch, capsys):
-    # One Gram solve and one stack of 2x2 planes per order, for all nine
-    # weights: n = 100 and 102 split their even-order Gram, 101 and 103
-    # solve C C^T whole.
+    # One stack of 2x2 planes per order, one top plane for each of the
+    # nine weights: the top cosine comes from a Newton solve, so no
+    # symmetric driver runs.
     calls = []
 
     def recorded(name):
@@ -773,10 +774,7 @@ def test_report_solves_each_order_once(monkeypatch, capsys):
                                   "0.1:0.9:0.1".split())
     assert code == 0
     assert len(parse_csv(out)) == 36
-    grams = [(2, 25, 25), (50, 50), (2, 25, 25), (51, 51)]
-    assert calls == [call for gram, m1 in zip(grams, [49, 50, 50, 51])
-                     for call in (("eigvalsh", gram),
-                                  ("eigvals", (9 * m1, 2, 2)))]
+    assert calls == [("eigvals", (9, 2, 2))] * 4
 
 
 def one_value_rows(capsys, command, n_flag, ns, flag, values):
@@ -811,19 +809,19 @@ def test_report_by_order_is_the_bytes_of_one_value_commands(capsys, argv, ns,
 
 
 def test_report_stacks_stay_within_their_byte_cap(monkeypatch, capsys):
-    # Four weights per plane_eigenvalues call at n = 64: 19 weights take
-    # five calls, with the bytes of one call.
+    # Four 32-byte planes per _plane_rates call: 19 weights take five
+    # calls, with the bytes of one call.
     argv = "rate --n 64 --w-grid 0.05:0.95:0.05".split()
     code, whole = run_cli(capsys, *argv)
     sizes = []
-    planes = oracle.plane_eigenvalues
+    rates = oracle._plane_rates
 
     def recorded(n, w):
         sizes.append(np.size(w))
-        return planes(n, w)
+        return rates(n, w)
 
-    monkeypatch.setattr(cli, "STACK_BYTES", 4 * 8 * 64)
-    monkeypatch.setattr(oracle, "plane_eigenvalues", recorded)
+    monkeypatch.setattr(cli, "STACK_BYTES", 4 * 32)
+    monkeypatch.setattr(oracle, "_plane_rates", recorded)
     assert run_cli(capsys, *argv) == (code, whole)
     assert sizes == [4, 4, 4, 4, 3]
 

@@ -4,6 +4,9 @@ Proves:
   1. determinant_shifted evaluates det(A - lambda I) for real and complex
      shifts, and its values at gossip matrices satisfy the three-term
      corner-composition identity built from the closed-form polynomials.
+     A NaN or +-inf entry of the matrix, or shift (one or an array), is a
+     ValueError naming it, with no warning first; finite input is never
+     scanned for them.
   2. full_spectrum returns verified eigenvalues: known small spectra, exact
      conjugate pairing, a small eigenpair residual, one consensus
      eigenvalue, and moduli bounded by 1 for the stochastic families.
@@ -102,9 +105,26 @@ Proves:
  15. plane_eigenvalues, enumerate_failure_expectation and
      isospectral_matrix below 1/2 each take the schedule from
      matrices.optimal_schedule, once a call, for one weight or a stack.
+ 16. The rate from the top plane, _plane_rates: the Newton solve's top
+     squared cosine lies within 8 ulps of the dense Gram solve's at every
+     n up to 64 and at sampled n up to 2000, in at most 10 strictly
+     falling steps; it is exact at n = 3 and 4 (a 1 x 1 Gram) and 6, where
+     Gershgorin's bound is the eigenvalue and the last pivot is exactly 0;
+     the Sturm count takes a zero pivot as negative and matches the dense
+     count; the Gram's bands are the dense Gram's, and a Gram with a term
+     off its three diagonals is a RuntimeError; a wrong top value (the
+     second cosine, 1e-9 either side, above every eigenvalue) is a
+     RuntimeError.  The rate of a stack of weights is, entry for entry,
+     that of one-weight calls and within 1e-12 of 1 - |lambda_2| of
+     plane_eigenvalues, from one (k, 2, 2) solve and no Gram solve or
+     n x n build; a bad order or weight is a ValueError before any solve.
+     At the top plane's double root the rate agrees with plane_eigenvalues,
+     the dense solve and the closed form within 1e-7, the square root of
+     the few ulps between the two top cosines.
 """
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -120,6 +140,7 @@ from latticegossip.oracle import (MAX_SPECTRUM_ORDER, determinant_shifted,
 from latticegossip.pentadiag import (PentaParams, charpoly_bb, charpoly_bb_bd,
                                      charpoly_bd_bd, penta_matrix,
                                      weighted_gossip_params)
+from latticegossip.rates import rate_weighted
 
 # --- shifted determinants ------------------------------------------------------
 
@@ -154,6 +175,38 @@ def test_determinant_matches_corner_composition():
 def test_determinant_rejects_nonsquare():
     with pytest.raises(ValueError):
         determinant_shifted(np.ones((2, 3)), 0.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("shifts", [0.5, np.array([0.5, 0.3 + 0.1j])],
+                         ids=["scalar", "array"])
+def test_non_finite_determinant_input_is_a_value_error(value, shifts):
+    # A non-finite entry of the matrix, or a non-finite shift, is named,
+    # as the solvers name theirs, with no numeric warning before it.
+    matrix = with_entries(np.full((3, 3), 0.25), [(0, 1), (2, 2)], value)
+    bad_shifts = np.array(shifts, dtype=complex)
+    bad_shifts.reshape(-1)[0] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as info:
+            determinant_shifted(matrix, shifts)
+        with pytest.raises(ValueError) as shift_info:
+            determinant_shifted(np.eye(3), bad_shifts)
+    message = str(info.value)
+    assert "2 non-finite entries" in message
+    assert f"{value} at (0, 1)" in message and f"{value} at (2, 2)" in message
+    assert "1 non-finite entries" in str(shift_info.value)
+
+
+def test_finite_determinants_never_scan_their_input(monkeypatch):
+    def must_not_run(m):
+        raise AssertionError("finite input scanned for non-finite entries")
+
+    monkeypatch.setattr(oracle, "_reject_non_finite", must_not_run)
+    m = penta_matrix(PentaParams(alpha=0.0, beta=0.0, e=0.3, b=-0.7, c=1.1,
+                                 d=0.4, n=9), ("bb", "bd"))
+    determinant_shifted(m, 0.3 + 0.1j)
+    determinant_shifted(m, np.array([0.5, -1.0 + 2.0j]))
 
 
 # --- full spectra ----------------------------------------------------------------
@@ -1167,3 +1220,163 @@ def test_plane_stack_rejects_a_bad_weight_before_any_solve(monkeypatch, ws):
     monkeypatch.setattr(oracle, "eigenvalues", must_not_run)
     with pytest.raises(ValueError, match="gossip weight"):
         oracle.plane_eigenvalues(8, np.array(ws))
+
+
+# --- the rate from the top plane ---------------------------------------------------
+
+
+def gap_of(eigs):
+    """1 - the largest modulus of a spectrum once the entry nearest 1 (the
+    consensus eigenvalue) is set aside."""
+    rest = np.delete(eigs, int(np.argmin(np.abs(eigs - 1.0))))
+    return 1.0 - float(np.abs(rest).max(initial=0.0))
+
+
+@pytest.mark.parametrize("n", list(range(3, 65)) + [
+    100, 127, 128, 130, 255, 256, 320, 416, 511, 512, 513, 1000, 1023, 1024,
+    1998, 1999, 2000])
+def test_top_cosine_is_within_ulps_of_the_dense_gram_solve(n):
+    top = oracle._top_cosine_squared(n)
+    dense = oracle._cosines_squared(n).max()
+    assert abs(top - dense) <= 8 * np.spacing(dense), n
+
+
+@pytest.mark.parametrize("n, top", [(3, 0.25), (4, 0.5), (6, 0.75)])
+def test_top_cosine_is_exact_where_the_bound_is_an_eigenvalue(n, top):
+    # At n = 3 and 4 the Gram is 1 x 1, and at n = 6 both rows sum to 3/4:
+    # Gershgorin's bound is the top eigenvalue itself, where the last pivot
+    # is exactly 0 and Newton takes no step.
+    diag, off = oracle._gram_bands(n)
+    off2 = [b * b for b in off]
+    assert oracle._newton_step(diag, off2, top) == 0.0
+    assert oracle._top_cosine_squared(n) == top
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8, 9, 12, 33])
+def test_sturm_count_takes_an_exact_zero_pivot(n):
+    # The first pivot of T - xI is diag[0] - x = 0 at x = 1/2, and at n = 6
+    # the last is 0 at the Gram's own eigenvalue 3/4.  A zero pivot counts
+    # as negative: an eigenvalue at x counts as below x.
+    diag, off = oracle._gram_bands(n)
+    off2 = [b * b for b in off]
+    assert diag[0] == 0.5
+    exact = np.linalg.eigvalsh(np.diag(diag) + np.diag(off[1:], 1)
+                               + np.diag(off[1:], -1))
+    for x in (0.25, 0.5, 0.75):
+        assert oracle._eigenvalues_below(diag, off2, x) == \
+            int((exact < x + 1e-12).sum()), (n, x)
+
+
+def test_gram_bands_are_the_dense_gram():
+    for n in range(3, 301):
+        e1, e2 = optimal_schedule(n)
+        gram = oracle._edge_gram(e1, e2, n)
+        diag, off = oracle._gram_bands(n)
+        assert diag == np.diagonal(gram).tolist(), n
+        assert off == [0.0] + np.diagonal(gram, 1).tolist(), n
+
+
+def test_gram_bands_reject_a_gram_that_is_not_tridiagonal(monkeypatch):
+    # The Newton solve and the Sturm count read three diagonals only: a
+    # schedule whose first matching's edges are out of path order would
+    # put 1/4 terms off them.
+    schedule = matrices.optimal_schedule
+    monkeypatch.setattr(matrices, "optimal_schedule", lambda n: (
+        schedule(n)[0][[2, 1, 0, 3]], schedule(n)[1]))
+    with pytest.raises(RuntimeError, match="not tridiagonal"):
+        oracle._plane_rates(9, 0.3)
+
+
+@pytest.mark.parametrize("n", [3, 4, 6, 9, 64, 66, 512])
+@pytest.mark.parametrize("wrong", ["second", "above", "below", "bound"])
+def test_sturm_count_rejects_a_wrong_top_value(monkeypatch, n, wrong):
+    cos2 = np.sort(oracle._cosines_squared(n))
+    top = oracle._top_cosine_squared(n)
+    value = {"second": cos2[-2] if n > 4 else 0.0,
+             "above": top + 1e-9, "below": top - 1e-9,
+             "bound": 1.0 + 1e-9}[wrong]
+    monkeypatch.setattr(oracle, "_newton_from_above",
+                        lambda diag, off2, x: value)
+    with pytest.raises(RuntimeError, match="Sturm count"):
+        oracle._plane_rates(n, 0.3)
+
+
+def test_newton_solves_each_order_in_a_few_steps(monkeypatch):
+    steps = []
+    step = oracle._newton_step
+
+    def counted(diag, off2, x):
+        steps.append(x)
+        return step(diag, off2, x)
+
+    monkeypatch.setattr(oracle, "_newton_step", counted)
+    for n in [7, 64, 512, 2000]:
+        steps.clear()
+        oracle._top_cosine_squared(n)
+        assert len(steps) <= 10, n
+        assert all(a > b for a, b in zip(steps, steps[1:])), n
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 8, 9, 64, 65, 130])
+def test_plane_rates_solve_one_plane_per_weight(monkeypatch, n):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("an n x n matrix or the cosine Gram was solved")
+
+    monkeypatch.setattr(matrices, "primitive_gossip_matrix", must_not_run)
+    monkeypatch.setattr(oracle, "_cosines_squared", must_not_run)
+    calls = record_solves(monkeypatch)
+    rates = oracle._plane_rates(n, np.array([0.3, 0.5, 0.8]))
+    assert rates.shape == (3,)
+    assert calls == [("eigvals", (3, 2, 2))]
+
+
+@pytest.mark.parametrize("n", [3, 4, 6, 9, 64, 66, 511, 512])
+@pytest.mark.parametrize("ws", [MIXED_WEIGHTS, [0.0, 0.0], [1.0], [0.3, 0.8]],
+                         ids=["mixed", "zeros", "one", "both-sides"])
+def test_plane_rates_of_a_stack_are_those_of_one_weight_calls(n, ws):
+    stack = oracle._plane_rates(n, np.array(ws))
+    assert stack.shape == (len(ws),)
+    for rate, w in zip(stack.tolist(), ws):
+        one = oracle._plane_rates(n, w)
+        assert one.shape == ()
+        assert rate == float(one), (n, w)
+        assert abs(rate - gap_of(oracle.plane_eigenvalues(n, w))) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [2, MAX_SPECTRUM_ORDER + 1])
+def test_plane_rates_reject_an_order_before_any_solve(monkeypatch, n):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("solved before the order was checked")
+
+    monkeypatch.setattr(oracle, "_top_cosine_squared", must_not_run)
+    with pytest.raises(ValueError, match="3 <= n"):
+        oracle._plane_rates(n, 0.5)
+
+
+@pytest.mark.parametrize("ws", [1.5, -0.1, math.nan, [0.3, 1.5],
+                                [[0.3, 0.8]]])
+def test_plane_rates_reject_a_bad_weight_before_any_solve(monkeypatch, ws):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("solved before the weights were checked")
+
+    monkeypatch.setattr(oracle, "_top_cosine_squared", must_not_run)
+    with pytest.raises(ValueError, match="gossip weight"):
+        oracle._plane_rates(8, np.array(ws))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 8, 17, 28, 60, 128, 320, 512])
+def test_plane_rates_at_the_double_root_agree_to_its_conditioning(n):
+    # At w = 1 / (1 + sqrt(1 - s^2)), s the top cosine, the top plane has
+    # a double eigenvalue, which moves with the square root of a change in
+    # s^2: the few ulps between the Newton and the dense Gram solve's s^2
+    # reach the rate as about 1e-8.  Every solve of it, the dense one of W
+    # included, agrees with the closed form to that conditioning only.
+    s2 = oracle._cosines_squared(n).max()
+    for w in [1.0 / (1.0 + math.sqrt(1.0 - s2)),
+              1.0 / (1.0 + math.sin(math.pi / n))]:
+        rate = float(oracle._plane_rates(n, w))
+        assert abs(rate - gap_of(oracle.plane_eigenvalues(n, w))) <= 1e-7
+        assert abs(rate - rate_weighted(n, w).rate) <= 1e-7
+        if n <= 60:
+            dense = spectral_gap_numeric(primitive_gossip_matrix(n, w))
+            assert abs(rate - dense) <= 1e-7

@@ -37,6 +37,14 @@ grid, with the tolerance of the matching fixed-grid test:
      [0, 1/2].
  10. plane_eigenvalues pairs with the dense eigenvalues() of W(w) within
      1e-12 for n in 3..300 and any w in [0, 1].
+ 11. The report rows' numeric rate from the top plane alone,
+     oracle._plane_rates, is within 1e-12 of 1 - |lambda_2| of all of
+     plane_eigenvalues for n in 3..512, and of the dense solve of W(w) for
+     n in 3..60: w in [0, 1] with 0, 1/2, 1, 1/2 one ulp either side, and
+     weights 1e-4 and 1e-3 (relative) either side of the top plane's
+     double root 1 / (1 + sin(pi / n)), where the plane's eigenvalues turn
+     from real to complex.  Closer to the double root the rate moves with
+     the square root of an ulp of s^2 (tests/test_oracle.py).
 
 Examples are derandomized, so every run draws the same cases.
 """
@@ -47,7 +55,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latticegossip import cli
+from latticegossip import cli, oracle
 from latticegossip.cli import _report_rows
 from latticegossip.matrices import (apply_period, expected_failure_matrix,
                                     primitive_gossip_matrix)
@@ -363,3 +371,44 @@ def test_band_build_is_within_ulps_of_the_dense_product(n, weights):
 def test_plane_eigenvalues_pair_with_the_dense_solve(n, w):
     dense = eigenvalues(primitive_gossip_matrix(n, w))
     assert spectrum_match_distance(plane_eigenvalues(n, w), dense) <= 1e-12
+
+
+# --- the rate from the top plane ---------------------------------------------------
+
+
+def plane_gap(eigs):
+    """1 - the largest modulus of a spectrum once the entry nearest 1 (the
+    consensus eigenvalue) is set aside."""
+    rest = np.delete(eigs, int(np.argmin(np.abs(eigs - 1.0))))
+    return 1.0 - float(np.abs(rest).max(initial=0.0))
+
+
+@st.composite
+def order_and_weight(draw, max_n):
+    """An order n and a weight: any in [0, 1], one of the edges and
+    halfway points, or one near the top plane's double root at n."""
+    n = draw(st.integers(3, max_n))
+    double_root = 1.0 / (1.0 + math.sin(math.pi / n))
+    w = draw(st.floats(0.0, 1.0)
+             | st.sampled_from([0.0, 0.5, 1.0, math.nextafter(0.5, 0.0),
+                                math.nextafter(0.5, 1.0)])
+             | st.sampled_from([-1e-3, -1e-4, 1e-4, 1e-3]).map(
+                 lambda rel: min(1.0, double_root * (1.0 + rel))))
+    return n, w
+
+
+@settings(PROPERTY, max_examples=150)
+@given(case=order_and_weight(512))
+def test_top_plane_rate_is_the_gap_of_every_plane(case):
+    n, w = case
+    rate = float(oracle._plane_rates(n, w))
+    assert abs(rate - plane_gap(plane_eigenvalues(n, w))) <= 1e-12
+
+
+@settings(PROPERTY, max_examples=150)
+@given(case=order_and_weight(60))
+def test_top_plane_rate_is_the_gap_of_the_dense_solve(case):
+    n, w = case
+    rate = float(oracle._plane_rates(n, w))
+    dense = spectral_gap_numeric(primitive_gossip_matrix(n, w))
+    assert abs(rate - dense) <= 1e-12

@@ -26,10 +26,11 @@ complex-pair branches, the pairing's repeated-eigenvalue greedy and
 real-distance pairing at n = 2000, the plane oracle's square roots of s^2
 and 1 - s^2 at the smallest orders, odd and even orders up to 2000 on both
 sides of 1/2 and a weight of 1e-300, weight stacks at every residue mod 4
-up to the largest numeric order, w = 0 inside a stack, verify's spectra
-suite with several stacks per group, verify's charpoly suite on its
-own, at its order floor among others, and the simulator and failure-matrix
-suites each on its own at its floor (the simulator's at n_max itself).
+up to the largest numeric order and across it, w = 0 inside a stack and
+as the expected weight at p = 1, verify's spectra suite with several
+stacks per group, verify's charpoly suite on its own, at its order floor
+among others, and the simulator and failure-matrix suites each on its own
+at its floor (the simulator's at n_max itself).
 """
 from __future__ import annotations
 
@@ -77,6 +78,8 @@ COMMANDS = [
     "rate --n-range 505:512 --w-grid 0.05:0.95:0.05",
     "link-failure --n 512 --p-grid 0:1:0.1",
     "link-failure --n 9 --p-grid 0:1:0.5 --format json",
+    "sweep-n --n-range 500:520 --w 0.55",
+    "link-failure --n 12 --p-grid 0:1:0.25",
 ] + [f"reproduce --target {target}" for target in
      ("table1", "table2", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7")]
 
